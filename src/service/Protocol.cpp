@@ -113,11 +113,15 @@ RequestParse service::parseRequest(const std::string &Line) {
   }
 
   RouteRequest &Route = Req.Route;
-  // `qasm` belongs to `route` alone; a batch carries one per item.
+  // Top-level `qasm` belongs to `route` alone — its one item; a batch
+  // carries one per item.
+  BatchItem Routed;
   if (!readMember(Obj, "qasm", /*Required=*/Req.TheOp == Op::Route,
                   json::Value::Kind::String, Err,
-                  [&](const json::Value &V) { Route.Qasm = V.asString(); }))
+                  [&](const json::Value &V) { Routed.Qasm = V.asString(); }))
     return fail(Err.ErrorCode, Err.ErrorMessage);
+  if (Req.TheOp == Op::Route)
+    Req.Items.push_back(std::move(Routed));
   if (!readMember(Obj, "mapper", false, json::Value::Kind::String, Err,
                   [&](const json::Value &V) { Route.Mapper = V.asString(); }))
     return fail(Err.ErrorCode, Err.ErrorMessage);
@@ -259,12 +263,14 @@ std::string service::formatErrorResponse(const char *Op,
   return Obj.dump();
 }
 
-std::string service::formatRouteResponse(
-    const std::string &Id, const std::string &Mapper,
-    const std::string &Backend, const RouteStats &Stats, bool ContextCacheHit,
-    bool ResultCacheHit, const std::string &Qasm, bool IncludeQasm,
-    const json::Value *TraceJson, bool Coalesced) {
-  json::Value Obj = responseHead("route", Id, true);
+namespace {
+
+/// The body every successfully routed frame shares after its head.
+std::string routedFrame(json::Value Obj, const std::string &Mapper,
+                        const std::string &Backend, const RouteStats &Stats,
+                        bool ContextCacheHit, bool ResultCacheHit,
+                        const std::string &Qasm, bool IncludeQasm,
+                        const json::Value *TraceJson, bool Coalesced) {
   Obj.set("mapper", Mapper);
   Obj.set("backend", Backend);
   Obj.set("stats", routeStatsToJson(Stats));
@@ -278,6 +284,18 @@ std::string service::formatRouteResponse(
   if (IncludeQasm)
     Obj.set("qasm", Qasm);
   return Obj.dump();
+}
+
+} // namespace
+
+std::string service::formatRouteResponse(
+    const std::string &Id, const std::string &Mapper,
+    const std::string &Backend, const RouteStats &Stats, bool ContextCacheHit,
+    bool ResultCacheHit, const std::string &Qasm, bool IncludeQasm,
+    const json::Value *TraceJson, bool Coalesced) {
+  return routedFrame(responseHead("route", Id, true), Mapper, Backend, Stats,
+                     ContextCacheHit, ResultCacheHit, Qasm, IncludeQasm,
+                     TraceJson, Coalesced);
 }
 
 std::string service::formatStatsResponse(const std::string &Id,
@@ -343,20 +361,9 @@ std::string service::formatBatchItemResult(
     const RouteStats &Stats, bool ContextCacheHit, bool ResultCacheHit,
     const std::string &Qasm, bool IncludeQasm,
     const json::Value *TraceJson, bool Coalesced) {
-  json::Value Obj = batchItemHead(Id, Index, Name);
-  Obj.set("mapper", Mapper);
-  Obj.set("backend", Backend);
-  Obj.set("stats", routeStatsToJson(Stats));
-  Obj.set("cache_hit", ContextCacheHit || ResultCacheHit);
-  Obj.set("context_cache_hit", ContextCacheHit);
-  Obj.set("result_cache_hit", ResultCacheHit);
-  if (Coalesced)
-    Obj.set("coalesced", true);
-  if (TraceJson)
-    Obj.set("trace", *TraceJson);
-  if (IncludeQasm)
-    Obj.set("qasm", Qasm);
-  return Obj.dump();
+  return routedFrame(batchItemHead(Id, Index, Name), Mapper, Backend, Stats,
+                     ContextCacheHit, ResultCacheHit, Qasm, IncludeQasm,
+                     TraceJson, Coalesced);
 }
 
 std::string service::formatBatchItemError(const std::string &Id, size_t Index,

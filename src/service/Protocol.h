@@ -87,9 +87,9 @@ inline constexpr int ProtocolVersion = 2;
 /// endpoint).
 enum class Op : uint8_t { Ping, Stats, Shutdown, Route, Cancel, Batch, Metrics };
 
-/// A parsed `route` request.
+/// The routing parameters of a `route` or `batch` request (the circuits
+/// themselves are Request::Items).
 struct RouteRequest {
-  std::string Qasm;
   std::string Mapper = "qlosure";
   std::string Backend = "sherbrooke";
   bool Bidirectional = false;
@@ -119,7 +119,7 @@ struct RouteRequest {
   std::string TraceId;
 };
 
-/// One circuit of a `batch` request.
+/// One circuit of a `route` or `batch` request.
 struct BatchItem {
   /// Client-chosen label echoed in the item's frames (may be empty; the
   /// zero-based item index is always echoed and is the stable key).
@@ -136,9 +136,10 @@ struct Request {
   /// a `route` needs one to be cancellable or to stream progress.
   std::string Id;
   /// Shared routing parameters. For `batch` these apply to every item
-  /// (one mapper × one backend per batch) and Route.Qasm is unused.
+  /// (one mapper × one backend per batch).
   RouteRequest Route;
-  /// The circuits of a `batch` request (empty for every other op).
+  /// The circuits: a `route`'s one circuit (unnamed) or a `batch`'s
+  /// items, in request order (empty for every other op).
   std::vector<BatchItem> Items;
 };
 

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <tuple>
 
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -163,7 +164,7 @@ void logSlowRequest(const char *Op, const std::string &Id,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Connection: the shared per-connection writer + in-flight job table
+// Connection: the shared per-connection writer + in-flight session table
 //===----------------------------------------------------------------------===//
 
 /// Shared between the connection thread (reads, inline responses,
@@ -207,38 +208,27 @@ struct Server::Connection {
     Closed = true;
   }
 
-  /// In-flight cancellable routes by id, and in-flight batch sessions by
-  /// id (one namespace: a live batch id cannot be reused by a route and
-  /// vice versa). Only the owning connection thread inserts (ids are
-  /// connection-scoped and requests on one connection are read serially);
-  /// workers erase on completion, so the mutex arbitrates insert/lookup
-  /// against that erase.
+  /// In-flight sessions (routes and batches) by id. Only the owning
+  /// connection thread inserts (ids are connection-scoped and requests
+  /// on one connection are read serially); completions erase, so the
+  /// mutex arbitrates insert/lookup against that erase.
   std::mutex JobsMu;
-  std::map<std::string, std::shared_ptr<JobTicket>> InFlight;
-  std::map<std::string, std::shared_ptr<Server::BatchState>> InFlightBatches;
+  std::map<std::string, std::shared_ptr<Server::Session>> InFlight;
 
-  /// The single release point of the in-flight table: every completion
-  /// path (success, error, expiry, queued-cancel, submit failure) frees
-  /// the id here, *before* its final frame is written, so a client that
-  /// has read the final response may immediately reuse the id.
-  void releaseJob(const std::string &Id) {
+  /// The single release point of the in-flight table: every session's
+  /// last completion frees the id here, *before* its final frame is
+  /// written, so a client that has read the final response may
+  /// immediately reuse the id.
+  void release(const std::string &Id) {
     if (Id.empty())
       return;
     std::lock_guard<std::mutex> Lock(JobsMu);
     InFlight.erase(Id);
   }
 
-  /// Same contract for batch sessions: released by the summary sender
-  /// right before the summary frame goes out.
-  void releaseBatch(const std::string &Id) {
-    std::lock_guard<std::mutex> Lock(JobsMu);
-    InFlightBatches.erase(Id);
-  }
-
-  /// True when \p Id is in flight as either a route or a batch.
   bool idInFlight(const std::string &Id) {
     std::lock_guard<std::mutex> Lock(JobsMu);
-    return InFlight.count(Id) != 0 || InFlightBatches.count(Id) != 0;
+    return InFlight.count(Id) != 0;
   }
 
 private:
@@ -247,32 +237,44 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// BatchState: one in-flight batch session
+// Session: one in-flight route or batch
 //===----------------------------------------------------------------------===//
 
-/// Shared by the connection thread (inline hits/failures, cancels) and
-/// the workers running the batch's scheduled items. Per-item slots are
-/// written by exactly one thread each (whoever completes that item), and
-/// the Remaining countdown sequences those writes before the summary
-/// sender's reads — no per-item locking needed.
-struct Server::BatchState {
+/// A `route` is a session of one item; a `batch` one of N. Shared by the
+/// connection thread (inline hits/failures, cancels) and the workers
+/// running the session's scheduled items. Per-item slots are written by
+/// exactly one thread each (whoever completes that item), and the
+/// Remaining countdown sequences those writes before the final frame's
+/// reads — no per-item locking needed.
+struct Server::Session {
   std::shared_ptr<Connection> Conn;
+  bool IsBatch = false;
   std::string Id;
-  std::string Mapper;
-  std::string BackendName;
+  /// Routing parameters shared by every item.
+  RouteRequest Params;
+  /// Request arrival: the epoch of every trace and of the `route`
+  /// latency, and the queue-wait anchor of batch items.
+  Trace::Clock::time_point Arrival;
+  /// A traced route's span recorder, opened at arrival (null otherwise;
+  /// batch items open theirs at pickup).
+  std::shared_ptr<Trace> RouteTrace;
   /// Items still unfinished; the decrement that reaches zero owns
-  /// releasing the id and sending the summary.
+  /// releasing the id and sending the final frame.
   std::atomic<size_t> Remaining{0};
   /// Parallel per-item arrays, indexed in submission order: the client
   /// label echoed in frames, and the terse outcome ("ok" or error code)
-  /// the summary reports.
+  /// the batch summary reports.
   std::vector<std::string> Names;
   std::vector<std::string> Status;
-  /// (ticket, item index) for every item that reached the scheduler —
-  /// the whole-batch cancellation handles. Written once by the
-  /// connection thread right after submission; only that same thread
-  /// reads them (cancel and teardown both run on it), so unsynchronized.
+  /// (ticket, item index) for every item that reached the scheduler or a
+  /// flight — the cancellation handles. Written by the connection thread
+  /// right after admission; only that same thread reads them (cancel and
+  /// the disconnect sweep both run on it), so unsynchronized.
   std::vector<std::pair<std::shared_ptr<JobTicket>, size_t>> Tickets;
+
+  const char *op() const { return IsBatch ? "batch" : "route"; }
+  /// How error messages name the unit that failed.
+  const char *noun() const { return IsBatch ? "item" : "request"; }
 };
 
 /// Outcome of the shared worker-side routing core.
@@ -374,11 +376,12 @@ void Server::teardown() {
   TornDown = true;
   Stopping.store(true);
 
-  // Unblock accept(): closing the listener makes it fail immediately
-  // (and unlinks a unix socket file).
-  Acceptor.close();
+  // Unblock accept(), and only close the listener (unlinking a unix
+  // socket file) once the accept thread no longer reads it.
+  Acceptor.wake();
   if (AcceptThread.joinable())
     AcceptThread.join();
+  Acceptor.close();
 
   // Drain the scheduler FIRST, while every connection's write side is
   // still intact: each pending route reaches its completion path and its
@@ -497,34 +500,22 @@ void Server::connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot) {
     }
   }
   // No frame may go out after the reader exits: in-flight completions
-  // degrade to no-ops (their job-table entries still clear normally).
+  // degrade to no-ops (their in-flight entries still clear normally).
   Conn->markClosed();
   // Nothing can read this connection's outcomes anymore, so abort its
   // queued and in-flight jobs instead of letting workers spend minutes
   // routing into a latched-closed writer (a dropped pipelined connection
-  // could otherwise pin the whole pool on dead work).
-  std::vector<std::shared_ptr<JobTicket>> Orphans;
-  std::vector<std::shared_ptr<BatchState>> OrphanBatches;
+  // could otherwise pin the whole pool on dead work). Frames of the
+  // queued items claimed here degrade to no-ops; followers on *other*
+  // connections still get their final response, naming the cause.
+  std::vector<std::shared_ptr<Session>> Orphans;
   {
     std::lock_guard<std::mutex> Lock(Conn->JobsMu);
     for (const auto &Entry : Conn->InFlight)
       Orphans.push_back(Entry.second);
-    for (const auto &Entry : Conn->InFlightBatches)
-      OrphanBatches.push_back(Entry.second);
   }
-  for (const std::shared_ptr<JobTicket> &Ticket : Orphans) {
-    if (Workers->cancel(Ticket) == JobTicket::State::Queued) {
-      // Claimed unrun. If it led a flight, followers on *other*
-      // connections must still get their final response.
-      Inflight->completeByLeader(
-          Ticket, coalescedFailure(errc::Cancelled,
-                                   "leader connection dropped"));
-    }
-  }
-  // Batch items are aborted through the same helper the cancel op uses;
-  // its frames degrade to no-ops on the latched-closed writer.
-  for (const std::shared_ptr<BatchState> &Batch : OrphanBatches)
-    cancelBatch(Batch);
+  for (const std::shared_ptr<Session> &S : Orphans)
+    cancelSession(*S, "leader connection dropped");
   // Vacate the slot under the same lock teardown() iterates under, then
   // report it finished so the accept loop joins this thread and recycles
   // it. The Connection object itself lives on until the last in-flight
@@ -585,10 +576,8 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
     handleCancel(Conn, Req);
     return;
   case Op::Route:
-    handleRoute(Conn, Req);
-    return;
   case Op::Batch:
-    handleBatch(Conn, Req);
+    handleSession(Conn, Req);
     return;
   }
   sendError(*Conn, "unknown", Req.Id, errc::BadRequest, "unhandled op");
@@ -600,54 +589,20 @@ void Server::handleCancel(const std::shared_ptr<Connection> &Conn,
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.CancelRequests;
   }
-  std::shared_ptr<JobTicket> Ticket;
-  std::shared_ptr<BatchState> Batch;
+  std::shared_ptr<Session> S;
   {
     std::lock_guard<std::mutex> Lock(Conn->JobsMu);
     auto It = Conn->InFlight.find(Req.Id);
     if (It != Conn->InFlight.end())
-      Ticket = It->second;
-    auto BatchIt = Conn->InFlightBatches.find(Req.Id);
-    if (BatchIt != Conn->InFlightBatches.end())
-      Batch = BatchIt->second;
+      S = It->second;
   }
-  if (Batch) {
-    // Whole-batch cancel: every still-live item dies; the summary still
-    // arrives (last) through the normal countdown, tallying the mix of
-    // completed and cancelled items.
-    Conn->send(formatCancelResponse(Req.Id, cancelBatch(Batch)));
-    return;
-  }
-  if (!Ticket) {
-    // Unknown or already finished: idempotent no-op ack.
-    Conn->send(formatCancelResponse(Req.Id, false));
-    return;
-  }
-  switch (Workers->cancel(Ticket)) {
-  case JobTicket::State::Queued: {
-    // Unqueued before it ever ran: this thread owns reporting. When the
-    // ticket led a coalescing flight, the flight dies with it (its
-    // followers inherit the cancellation as a structured error); a
-    // cancelled *follower* leads nothing, so this is a no-op for it.
-    Inflight->completeByLeader(
-        Ticket,
-        coalescedFailure(errc::Cancelled, "request cancelled while queued"));
-    Conn->releaseJob(Req.Id);
-    Conn->send(formatCancelResponse(Req.Id, true));
-    sendError(*Conn, "route", Req.Id, errc::Cancelled,
-              "request cancelled while queued");
-    return;
-  }
-  case JobTicket::State::Running:
-    // Token signalled; the job aborts at its next poll and reports
-    // through its own completion path.
-    Conn->send(formatCancelResponse(Req.Id, true));
-    return;
-  case JobTicket::State::CancelledWhileQueued:
-  case JobTicket::State::Done:
-    Conn->send(formatCancelResponse(Req.Id, false));
-    return;
-  }
+  // Unknown or already finished: idempotent no-op ack. Otherwise every
+  // still-live item dies; a batch summary still arrives (last) through
+  // the normal countdown, tallying completed and cancelled items.
+  bool Delivered =
+      S && cancelSession(*S, formatString("%s cancelled while queued",
+                                          S->noun()));
+  Conn->send(formatCancelResponse(Req.Id, Delivered));
 }
 
 std::shared_ptr<const CachedResult>
@@ -699,261 +654,6 @@ Server::lookupBackend(const std::string &Name, bool ErrorAware,
   Pooled->Graph = std::move(Graph);
   Backends.emplace(VariantKey, Pooled);
   return Pooled;
-}
-
-void Server::handleRoute(const std::shared_ptr<Connection> &Conn,
-                         const Request &Req) {
-  const RouteRequest &Route = Req.Route;
-  const auto ReqStart = Trace::Clock::now();
-  // A traced request carries one span recorder from arrival to its final
-  // frame; untraced requests never allocate one.
-  std::shared_ptr<Trace> T;
-  if (Route.Trace) {
-    T = std::make_shared<Trace>();
-    T->reset(Route.TraceId.empty() ? generateTraceId() : Route.TraceId,
-             ReqStart);
-  }
-  {
-    std::lock_guard<std::mutex> Lock(CounterMu);
-    ++Counters.RouteRequests;
-  }
-  if (Stopping.load()) {
-    sendError(*Conn, "route", Req.Id, errc::ShuttingDown,
-              "server is shutting down");
-    return;
-  }
-  if (!Req.Id.empty() && Conn->idInFlight(Req.Id)) {
-    sendError(*Conn, "route", Req.Id, errc::BadRequest,
-              formatString("id \"%s\" is already in flight on this "
-                           "connection",
-                           Req.Id.c_str()));
-    return;
-  }
-  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
-               Route.Mapper)) {
-    sendError(*Conn, "route", Req.Id, errc::UnknownMapper,
-              formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
-    return;
-  }
-  std::shared_ptr<const PooledBackend> Backend =
-      lookupBackend(Route.Backend, Route.ErrorAware, Route.CalibrationSeed);
-  if (!Backend) {
-    sendError(*Conn, "route", Req.Id, errc::UnknownBackend,
-              formatString("unknown backend \"%s\"", Route.Backend.c_str()));
-    return;
-  }
-
-  int ImportSpan = T ? T->begin("import_qasm") : -1;
-  qasm::ImportResult Imported = qasm::importQasm(Route.Qasm, "request");
-  if (!Imported.succeeded()) {
-    sendError(*Conn, "route", Req.Id, errc::BadQasm, Imported.Error);
-    return;
-  }
-  auto Logical = std::make_shared<Circuit>(
-      Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
-  if (T)
-    T->end(ImportSpan);
-  if (Logical->numQubits() > Backend->Graph->numQubits()) {
-    sendError(*Conn, "route", Req.Id, errc::TooLarge,
-              formatString("circuit has %u qubits but %s only has %u",
-                           Logical->numQubits(), Route.Backend.c_str(),
-                           Backend->Graph->numQubits()));
-    return;
-  }
-
-  uint64_t CircuitFp = fingerprint(*Logical);
-  uint64_t MapperConfigFp = hashCombine(
-      fingerprintString(Route.Mapper),
-      (Route.Affine ? 4u : 0u) | (Route.Bidirectional ? 2u : 0u) |
-          (Route.ErrorAware ? 1u : 0u));
-  CacheKey ResultKey{CircuitFp, Backend->Fingerprint, MapperConfigFp};
-
-  if (auto Cached = lookupResult(ResultKey)) {
-    RouteStats Stats = statsFromCached(*Cached);
-    const auto Now = Trace::Clock::now();
-    Histos.Route.recordNs(spanNs(ReqStart, Now));
-    if (T) {
-      T->addNs("result_cache_hit", T->sinceEpochNs(Now), 0);
-      json::Value TraceJson = T->toJson(Now);
-      Conn->send(formatRouteResponse(Req.Id, Route.Mapper, Route.Backend,
-                                     Stats,
-                                     /*ContextCacheHit=*/false,
-                                     /*ResultCacheHit=*/true,
-                                     Cached->RoutedQasm, Route.IncludeQasm,
-                                     &TraceJson));
-    } else {
-      Conn->send(formatRouteResponse(Req.Id, Route.Mapper, Route.Backend,
-                                     Stats,
-                                     /*ContextCacheHit=*/false,
-                                     /*ResultCacheHit=*/true,
-                                     Cached->RoutedQasm, Route.IncludeQasm));
-    }
-    return;
-  }
-
-  auto Deadline =
-      requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
-
-  // Pre-register the ticket before the coalescing decision and before
-  // submission, so a completion (or a follower delivery) racing this
-  // thread can only ever erase an entry that exists; the connection
-  // thread is the sole inserter, so no other request can slip in
-  // between.
-  auto Ticket = std::make_shared<JobTicket>();
-  if (!Req.Id.empty()) {
-    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    Conn->InFlight[Req.Id] = Ticket;
-  }
-
-  // Coalesce: when an identical request (same result key) is already
-  // routing, follow its flight instead of routing again. The follower's
-  // ticket doubles as its claim token — its cancel and deadline work
-  // through the same paths as a queued job's, without touching the
-  // leader.
-  InflightTable::Follower F;
-  F.Ticket = Ticket;
-  F.Deadline = Deadline;
-  F.Deliver = [this, Conn, Id = Req.Id, Mapper = Route.Mapper,
-               BackendName = Route.Backend,
-               IncludeQasm = Route.IncludeQasm,
-               ReqStart](const InflightTable::Outcome &O) {
-    Histos.Route.recordNs(spanNs(ReqStart, Trace::Clock::now()));
-    Conn->releaseJob(Id);
-    if (!O.Ok) {
-      sendError(*Conn, "route", Id, O.ErrorCode, O.ErrorMessage);
-      return;
-    }
-    Conn->send(formatRouteResponse(Id, Mapper, BackendName, O.Stats,
-                                   O.ContextHit, /*ResultCacheHit=*/false,
-                                   O.Cached->RoutedQasm, IncludeQasm,
-                                   /*TraceJson=*/nullptr,
-                                   /*Coalesced=*/true));
-  };
-  if (!Inflight->leadOrFollow(ResultKey, Ticket, std::move(F))) {
-    std::lock_guard<std::mutex> Lock(CounterMu);
-    ++Counters.Coalesced;
-    return;
-  }
-
-  // This request leads: it owns the scheduler job, and every completion
-  // path below also completes the flight (delivering any followers that
-  // coalesced onto it meanwhile).
-
-  // Everything the worker needs, captured by value / shared ownership:
-  // the parsed circuit, the pooled backend, the connection writer, and
-  // the request parameters — minus the raw QASM source, which only the
-  // import above ever reads: a pipelined connection can park hundreds of
-  // jobs in the queue, and each must not pin (or even transiently copy)
-  // megabytes of dead text.
-  RouteRequest Params;
-  Params.Mapper = Route.Mapper;
-  Params.Backend = Route.Backend;
-  Params.Bidirectional = Route.Bidirectional;
-  Params.ErrorAware = Route.ErrorAware;
-  Params.Affine = Route.Affine;
-  Params.CalibrationSeed = Route.CalibrationSeed;
-  Params.IncludeQasm = Route.IncludeQasm;
-  Params.TimeoutMs = Route.TimeoutMs;
-  Params.Progress = Route.Progress;
-
-  // Queue wait is measured from here (just before submission) to worker
-  // pickup.
-  const auto SubmitTime = Trace::Clock::now();
-
-  SchedulerJob Job;
-  Job.Deadline = Deadline;
-  Job.OnExpired = [this, Conn, Id = Req.Id, ResultKey] {
-    Inflight->complete(
-        ResultKey,
-        coalescedFailure(errc::DeadlineExceeded,
-                         "deadline passed before a worker picked the "
-                         "request up"));
-    Conn->releaseJob(Id);
-    sendError(*Conn, "route", Id, errc::DeadlineExceeded,
-              "deadline passed before a worker picked the request up");
-  };
-  Job.Run = [this, Conn, Logical, Backend, Route = std::move(Params),
-             Id = Req.Id, CircuitFp, ResultKey, T, ReqStart,
-             SubmitTime](RoutingScratch &Scratch, CancellationToken &Cancel) {
-    const auto Pickup = Trace::Clock::now();
-    Histos.QueueWait.recordNs(spanNs(SubmitTime, Pickup));
-    if (T)
-      T->add("queue_wait", SubmitTime, Pickup);
-    std::function<void()> BeforeRoute;
-    if (Route.Progress && !Id.empty()) {
-      // Stream ~20 progress events per route, floored so small circuits
-      // do not flood the connection. Installed only right before the
-      // main routing pass — after the bidirectional derive passes, which
-      // route the circuit internally and would otherwise exhaust the
-      // throttle (and mislead the client) before the real route begins.
-      size_t Step = std::max<size_t>(Logical->size() / 20, 256);
-      BeforeRoute = [&Cancel, Conn, Id, Step] {
-        Cancel.enableProgress(
-            [Conn, Id](size_t Done, size_t Total) {
-              Conn->send(formatProgressEvent(Id, Done, Total));
-            },
-            Step);
-      };
-    }
-    RouteOutcome Out = executeRoute(Logical, Backend, Route, CircuitFp,
-                                    ResultKey, Scratch, Cancel, BeforeRoute,
-                                    T.get());
-    const auto Done = Trace::Clock::now();
-    Histos.Route.recordNs(spanNs(ReqStart, Done));
-    double TotalMs = spanNs(ReqStart, Done) / 1e6;
-    if (Options.SlowRequestMs > 0 && TotalMs >= Options.SlowRequestMs)
-      logSlowRequest("route", Id, Route, TotalMs, Options.SlowRequestMs,
-                     T.get(), Done);
-    if (Out.Cancelled) {
-      auto [Code, Message] = cancellationError(Cancel);
-      // Followers are delivered first: the leader's possibly-slow writer
-      // must not delay their (other connections') responses.
-      Inflight->complete(ResultKey, coalescedFailure(Code, Message));
-      Conn->releaseJob(Id);
-      sendError(*Conn, "route", Id, Code, Message);
-      return;
-    }
-    if (Out.ErrorCode) {
-      Inflight->complete(ResultKey,
-                         coalescedFailure(Out.ErrorCode, Out.ErrorMessage));
-      Conn->releaseJob(Id);
-      sendError(*Conn, "route", Id, Out.ErrorCode, Out.ErrorMessage);
-      return;
-    }
-    {
-      InflightTable::Outcome FlightOut;
-      FlightOut.Ok = true;
-      FlightOut.ContextHit = Out.ContextHit;
-      FlightOut.Stats = Out.Stats;
-      FlightOut.Cached = Out.Cached;
-      Inflight->complete(ResultKey, FlightOut);
-    }
-    Conn->releaseJob(Id);
-    if (T) {
-      json::Value TraceJson = T->toJson(Done);
-      Conn->send(formatRouteResponse(Id, Route.Mapper, Route.Backend,
-                                     Out.Stats, Out.ContextHit,
-                                     /*ResultCacheHit=*/false,
-                                     Out.Cached->RoutedQasm,
-                                     Route.IncludeQasm, &TraceJson));
-    } else {
-      Conn->send(formatRouteResponse(Id, Route.Mapper, Route.Backend,
-                                     Out.Stats, Out.ContextHit,
-                                     /*ResultCacheHit=*/false,
-                                     Out.Cached->RoutedQasm,
-                                     Route.IncludeQasm));
-    }
-  };
-
-  if (!Workers->trySubmit(std::move(Job), Ticket)) {
-    const char *Code = Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-    const char *Message = Stopping.load()
-                              ? "server is shutting down"
-                              : "scheduler queue is full, retry later";
-    Inflight->complete(ResultKey, coalescedFailure(Code, Message));
-    Conn->releaseJob(Req.Id);
-    sendError(*Conn, "route", Req.Id, Code, Message);
-  }
 }
 
 Server::RouteOutcome
@@ -1073,42 +773,344 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
 }
 
 //===----------------------------------------------------------------------===//
-// Batch sessions
+// Route and batch: one request path
 //===----------------------------------------------------------------------===//
 
-void Server::finishBatchItem(const std::shared_ptr<BatchState> &Batch,
-                             size_t Index, const char *Status) {
-  Batch->Status[Index] = Status;
-  // The fetch_sub sequences this thread's Status write (and its already-
-  // sent item frame) before the summary sender's reads, and the writer
-  // mutex orders the frames themselves — so the summary is always last.
-  if (Batch->Remaining.fetch_sub(1) == 1) {
-    Batch->Conn->releaseBatch(Batch->Id);
-    Batch->Conn->send(formatBatchSummaryResponse(Batch->Id, Batch->Mapper,
-                                                 Batch->BackendName,
-                                                 Batch->Names,
-                                                 Batch->Status));
+void Server::handleSession(const std::shared_ptr<Connection> &Conn,
+                           const Request &Req) {
+  const RouteRequest &Route = Req.Route;
+  auto S = std::make_shared<Session>();
+  S->Conn = Conn;
+  S->IsBatch = Req.TheOp == Op::Batch;
+  S->Id = Req.Id;
+  S->Params = Route;
+  S->Arrival = Trace::Clock::now();
+  // A traced route carries one span recorder from arrival to its final
+  // frame; untraced requests never allocate one.
+  if (!S->IsBatch && Route.Trace) {
+    S->RouteTrace = std::make_shared<Trace>();
+    S->RouteTrace->reset(
+        Route.TraceId.empty() ? generateTraceId() : Route.TraceId, S->Arrival);
+  }
+  Trace *T = S->RouteTrace.get();
+  const size_t Total = Req.Items.size();
+  {
+    std::lock_guard<std::mutex> Lock(CounterMu);
+    if (S->IsBatch) {
+      ++Counters.BatchRequests;
+      Counters.BatchItems += Total;
+    } else {
+      ++Counters.RouteRequests;
+    }
+  }
+  if (Stopping.load()) {
+    sendError(*Conn, S->op(), Req.Id, errc::ShuttingDown,
+              "server is shutting down");
+    return;
+  }
+  if (!Req.Id.empty() && Conn->idInFlight(Req.Id)) {
+    sendError(*Conn, S->op(), Req.Id, errc::BadRequest,
+              formatString("id \"%s\" is already in flight on this "
+                           "connection",
+                           Req.Id.c_str()));
+    return;
+  }
+  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
+               Route.Mapper)) {
+    sendError(*Conn, S->op(), Req.Id, errc::UnknownMapper,
+              formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
+    return;
+  }
+  std::shared_ptr<const PooledBackend> Backend =
+      lookupBackend(Route.Backend, Route.ErrorAware, Route.CalibrationSeed);
+  if (!Backend) {
+    sendError(*Conn, S->op(), Req.Id, errc::UnknownBackend,
+              formatString("unknown backend \"%s\"", Route.Backend.c_str()));
+    return;
+  }
+
+  S->Remaining.store(Total);
+  S->Status.assign(Total, std::string());
+  S->Names.resize(Total);
+  for (size_t I = 0; I < Total; ++I)
+    S->Names[I] = Req.Items[I].Name;
+  auto Deadline =
+      requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
+  uint64_t MapperConfigFp = hashCombine(
+      fingerprintString(Route.Mapper),
+      (Route.Affine ? 4u : 0u) | (Route.Bidirectional ? 2u : 0u) |
+          (Route.ErrorAware ? 1u : 0u));
+
+  // Triage every item before anything is enqueued or any frame is sent:
+  // admission below is all-or-nothing, and a rejected request emits no
+  // item frames at all.
+  struct InlineOutcome {
+    size_t Index;
+    std::shared_ptr<const CachedResult> Cached; ///< Set: a cache hit.
+    const char *Code;                           ///< Else: a failure.
+    std::string Message;
+  };
+  // An item whose key matches a flight already in the air (a foreign
+  // request's route, or an earlier identical item of this same batch).
+  // It must not route again — but it also must not attach yet: a foreign
+  // flight could complete (and deliver this item's frame) before the
+  // admission decision, and a rejected request emits no item frames.
+  // Candidates are resolved only after admission.
+  struct CoalesceCandidate {
+    size_t Index;
+    std::shared_ptr<Circuit> Logical;
+    uint64_t CircuitFp;
+    CacheKey ResultKey;
+    std::shared_ptr<JobTicket> Ticket;
+  };
+  std::vector<InlineOutcome> Inline;
+  std::vector<CoalesceCandidate> Candidates;
+  std::vector<SchedulerJob> Jobs;
+  std::vector<size_t> JobIndex; // Jobs[J] routes item JobIndex[J].
+  std::vector<std::shared_ptr<JobTicket>> LeaderTickets; // Parallels Jobs.
+
+  for (size_t I = 0; I < Total; ++I) {
+    int ImportSpan = T ? T->begin("import_qasm") : -1;
+    qasm::ImportResult Imported =
+        qasm::importQasm(Req.Items[I].Qasm, "request");
+    if (!Imported.succeeded()) {
+      Inline.push_back({I, nullptr, errc::BadQasm, Imported.Error});
+      continue;
+    }
+    auto Logical = std::make_shared<Circuit>(
+        Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
+    if (T)
+      T->end(ImportSpan);
+    if (Logical->numQubits() > Backend->Graph->numQubits()) {
+      Inline.push_back(
+          {I, nullptr, errc::TooLarge,
+           formatString("circuit has %u qubits but %s only has %u",
+                        Logical->numQubits(), Route.Backend.c_str(),
+                        Backend->Graph->numQubits())});
+      continue;
+    }
+    uint64_t CircuitFp = fingerprint(*Logical);
+    CacheKey ResultKey{CircuitFp, Backend->Fingerprint, MapperConfigFp};
+    if (auto Cached = lookupResult(ResultKey)) {
+      Inline.push_back({I, std::move(Cached), nullptr, {}});
+      continue;
+    }
+    // Leading is claimed *now*, with a fresh pre-made ticket, so that a
+    // duplicate triaged later sees the flight and coalesces instead of
+    // routing twice. The flights are unwound (completeByLeader) if
+    // admission is rejected.
+    auto Ticket = std::make_shared<JobTicket>();
+    if (Inflight->lead(ResultKey, Ticket)) {
+      Jobs.push_back(makeLeaderJob(S, I, Logical, Backend, CircuitFp,
+                                   ResultKey, Deadline));
+      JobIndex.push_back(I);
+      LeaderTickets.push_back(std::move(Ticket));
+    } else {
+      Candidates.push_back(
+          {I, std::move(Logical), CircuitFp, ResultKey, std::move(Ticket)});
+    }
+  }
+
+  // Register before admission so a completion's release() always finds
+  // the entry; requests on this connection are read serially, so no
+  // cancel can slip in between.
+  if (!Req.Id.empty()) {
+    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
+    Conn->InFlight[Req.Id] = S;
+  }
+  if (!Jobs.empty()) {
+    std::vector<std::shared_ptr<JobTicket>> Tickets =
+        Workers->trySubmitBatch(std::move(Jobs), LeaderTickets);
+    if (Tickets.empty()) {
+      // All-or-nothing rejection: nothing ran, nothing was sent — one
+      // error response covers the whole request. The flights claimed at
+      // triage die with it: any *foreign* follower that coalesced onto
+      // them meanwhile gets the rejection as a structured error (this
+      // request's own candidates have not attached yet, so no item frame
+      // escapes).
+      const char *Code =
+          Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
+      std::string Message =
+          Stopping.load() ? "server is shutting down"
+          : S->IsBatch    ? formatString("scheduler queue lacks capacity for "
+                                         "%zu batch items, retry later",
+                                         JobIndex.size())
+                          : "scheduler queue is full, retry later";
+      for (const std::shared_ptr<JobTicket> &Ticket : LeaderTickets)
+        Inflight->completeByLeader(Ticket, coalescedFailure(Code, Message));
+      Conn->release(Req.Id);
+      sendError(*Conn, S->op(), Req.Id, Code, Message);
+      return;
+    }
+    for (size_t J = 0; J < Tickets.size(); ++J)
+      S->Tickets.emplace_back(std::move(Tickets[J]), JobIndex[J]);
+  }
+
+  // Admitted: coalesce candidates may attach now. A candidate whose
+  // flight resolved in the window since triage is served from the result
+  // cache, or — when the flight failed and left no result — routed
+  // individually after all.
+  for (CoalesceCandidate &C : Candidates) {
+    for (;;) {
+      InflightTable::Follower F;
+      F.Ticket = C.Ticket;
+      F.Deadline = Deadline;
+      F.Deliver = [this, S, I = C.Index](const InflightTable::Outcome &O) {
+        recordRouteLatency(*S);
+        if (!O.Ok) {
+          replyError(*S, I, O.ErrorCode, O.ErrorMessage);
+          return;
+        }
+        replyResult(*S, I, O.Stats, O.ContextHit, /*ResultCacheHit=*/false,
+                    O.Cached->RoutedQasm, /*TraceJson=*/nullptr,
+                    /*Coalesced=*/true);
+      };
+      if (Inflight->tryAttach(C.ResultKey, std::move(F))) {
+        {
+          std::lock_guard<std::mutex> Lock(CounterMu);
+          ++Counters.Coalesced;
+        }
+        S->Tickets.emplace_back(C.Ticket, C.Index);
+        break;
+      }
+      if (auto Cached = lookupResult(C.ResultKey)) {
+        replyCached(*S, C.Index, *Cached);
+        break;
+      }
+      if (Inflight->lead(C.ResultKey, C.Ticket)) {
+        if (!Workers->trySubmit(makeLeaderJob(S, C.Index, C.Logical, Backend,
+                                              C.CircuitFp, C.ResultKey,
+                                              Deadline),
+                                C.Ticket)) {
+          const char *Code =
+              Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
+          const char *Message = Stopping.load()
+                                    ? "server is shutting down"
+                                    : "scheduler queue is full, retry later";
+          Inflight->completeByLeader(C.Ticket,
+                                     coalescedFailure(Code, Message));
+          replyError(*S, C.Index, Code, Message);
+        } else {
+          S->Tickets.emplace_back(C.Ticket, C.Index);
+        }
+        break;
+      }
+      // Another identical request took the lead in the window between
+      // the failed attach and the failed lead; retry the attach.
+    }
+  }
+
+  // Inline outcomes go out only now, after the admission decision.
+  // Workers may already be streaming their items — fine; the final frame
+  // still waits for these, because their countdown slots are ours.
+  for (const InlineOutcome &Out : Inline) {
+    if (Out.Cached)
+      replyCached(*S, Out.Index, *Out.Cached);
+    else
+      replyError(*S, Out.Index, Out.Code, Out.Message);
   }
 }
 
-bool Server::cancelBatch(const std::shared_ptr<BatchState> &Batch) {
+SchedulerJob Server::makeLeaderJob(
+    const std::shared_ptr<Session> &S, size_t I,
+    std::shared_ptr<Circuit> Logical,
+    std::shared_ptr<const PooledBackend> Backend, uint64_t CircuitFp,
+    const CacheKey &ResultKey,
+    std::chrono::steady_clock::time_point Deadline) {
+  SchedulerJob Job;
+  Job.Deadline = Deadline;
+  Job.OnExpired = [this, S, I, ResultKey] {
+    std::string Message = formatString(
+        "deadline passed before a worker picked the %s up", S->noun());
+    Inflight->complete(ResultKey,
+                       coalescedFailure(errc::DeadlineExceeded, Message));
+    replyError(*S, I, errc::DeadlineExceeded, Message);
+  };
+  // A route's queue wait runs from submission (its triage is its own
+  // import); batch items genuinely wait while earlier ones are triaged,
+  // so theirs runs from arrival.
+  const auto QueuedAt = S->IsBatch ? S->Arrival : Trace::Clock::now();
+  Job.Run = [this, S, I, Logical = std::move(Logical),
+             Backend = std::move(Backend), CircuitFp, ResultKey,
+             QueuedAt](RoutingScratch &Scratch, CancellationToken &Cancel) {
+    const auto Pickup = Trace::Clock::now();
+    Histos.QueueWait.recordNs(spanNs(QueuedAt, Pickup));
+    std::shared_ptr<Trace> T = S->RouteTrace;
+    if (S->IsBatch && S->Params.Trace) {
+      // Item traces correlate as "<trace id or batch id>-<index>".
+      const std::string &Base =
+          S->Params.TraceId.empty() ? S->Id : S->Params.TraceId;
+      T = std::make_shared<Trace>();
+      T->reset(formatString("%s-%zu", Base.c_str(), I), S->Arrival);
+    }
+    if (T)
+      T->add("queue_wait", QueuedAt, Pickup);
+    std::function<void()> BeforeRoute;
+    if (!S->IsBatch && S->Params.Progress && !S->Id.empty()) {
+      // Stream ~20 progress events per route, floored so small circuits
+      // do not flood the connection. Installed only right before the
+      // main routing pass — after the bidirectional derive passes, which
+      // route the circuit internally and would otherwise exhaust the
+      // throttle (and mislead the client) before the real route begins.
+      size_t Step = std::max<size_t>(Logical->size() / 20, 256);
+      BeforeRoute = [&Cancel, Conn = S->Conn, Id = S->Id, Step] {
+        Cancel.enableProgress(
+            [Conn, Id](size_t Done, size_t Total) {
+              Conn->send(formatProgressEvent(Id, Done, Total));
+            },
+            Step);
+      };
+    }
+    RouteOutcome Out = executeRoute(Logical, Backend, S->Params, CircuitFp,
+                                    ResultKey, Scratch, Cancel, BeforeRoute,
+                                    T.get());
+    const auto Done = Trace::Clock::now();
+    if (S->IsBatch)
+      Histos.BatchItem.recordNs(spanNs(Pickup, Done));
+    else
+      Histos.Route.recordNs(spanNs(S->Arrival, Done));
+    double TotalMs = spanNs(S->Arrival, Done) / 1e6;
+    if (Options.SlowRequestMs > 0 && TotalMs >= Options.SlowRequestMs)
+      logSlowRequest(S->IsBatch ? "batch_item" : "route", S->Id, S->Params,
+                     TotalMs, Options.SlowRequestMs, T.get(), Done);
+    if (Out.Cancelled)
+      std::tie(Out.ErrorCode, Out.ErrorMessage) = cancellationError(Cancel);
+    if (Out.ErrorCode) {
+      // Followers are delivered first: the leader's possibly-slow writer
+      // must not delay their (other connections') responses.
+      Inflight->complete(ResultKey,
+                         coalescedFailure(Out.ErrorCode, Out.ErrorMessage));
+      replyError(*S, I, Out.ErrorCode, Out.ErrorMessage);
+      return;
+    }
+    InflightTable::Outcome FlightOut;
+    FlightOut.Ok = true;
+    FlightOut.ContextHit = Out.ContextHit;
+    FlightOut.Stats = Out.Stats;
+    FlightOut.Cached = Out.Cached;
+    Inflight->complete(ResultKey, FlightOut);
+    json::Value TraceJson;
+    if (T)
+      TraceJson = T->toJson(Done);
+    replyResult(*S, I, Out.Stats, Out.ContextHit, /*ResultCacheHit=*/false,
+                Out.Cached->RoutedQasm, T ? &TraceJson : nullptr);
+  };
+  return Job;
+}
+
+bool Server::cancelSession(Session &S, const std::string &Reason) {
   bool AnyLive = false;
-  for (const auto &[Ticket, Index] : Batch->Tickets) {
+  for (const auto &[Ticket, Index] : S.Tickets) {
     switch (Workers->cancel(Ticket)) {
     case JobTicket::State::Queued:
-      // Claimed away from the workers unrun: this thread owns reporting.
-      // An item leading a coalescing flight takes its followers' answers
-      // with it (as a structured error); a cancelled follower item leads
-      // nothing, so the call is a no-op for it.
-      Inflight->completeByLeader(
-          Ticket,
-          coalescedFailure(errc::Cancelled, "item cancelled while queued"));
+      // Claimed away from the workers unrun (or, for a follower, off its
+      // flight): this thread owns reporting. An item leading a flight
+      // takes its followers' answers with it (as a structured error); a
+      // follower leads nothing, so the call is a no-op for it.
+      Inflight->completeByLeader(Ticket,
+                                 coalescedFailure(errc::Cancelled, Reason));
       AnyLive = true;
-      Batch->Conn->send(formatBatchItemError(Batch->Id, Index,
-                                             Batch->Names[Index],
-                                             errc::Cancelled,
-                                             "item cancelled while queued"));
-      finishBatchItem(Batch, Index, errc::Cancelled);
+      replyError(S, Index, errc::Cancelled, Reason);
       break;
     case JobTicket::State::Running:
       // Token signalled; the item aborts at its next poll and reports
@@ -1123,365 +1125,79 @@ bool Server::cancelBatch(const std::shared_ptr<BatchState> &Batch) {
   return AnyLive;
 }
 
-void Server::handleBatch(const std::shared_ptr<Connection> &Conn,
-                         const Request &Req) {
-  const RouteRequest &Route = Req.Route;
+//===----------------------------------------------------------------------===//
+// Reply sink: the per-op frame formats
+//===----------------------------------------------------------------------===//
+
+void Server::finishItem(Session &S, size_t Index, const char *Status,
+                        const std::string &Frame) {
+  // A batch item's frame is an event sent before its decrement; the
+  // fetch_sub sequences it (and the Status write) before the final
+  // sender's reads, and the writer mutex orders the frames themselves —
+  // so the summary is always last. A route's one frame is its final
+  // response, sent by the same last-decrement path.
+  if (S.IsBatch)
+    S.Conn->send(Frame);
+  S.Status[Index] = Status;
+  if (S.Remaining.fetch_sub(1) != 1)
+    return;
+  S.Conn->release(S.Id);
+  if (S.IsBatch)
+    S.Conn->send(formatBatchSummaryResponse(
+        S.Id, S.Params.Mapper, S.Params.Backend, S.Names, S.Status));
+  else
+    S.Conn->send(Frame);
+}
+
+void Server::replyError(Session &S, size_t Index, const char *Code,
+                        const std::string &Message) {
+  if (S.IsBatch) {
+    finishItem(S, Index, Code,
+               formatBatchItemError(S.Id, Index, S.Names[Index], Code,
+                                    Message));
+    return;
+  }
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
-    ++Counters.BatchRequests;
-    Counters.BatchItems += Req.Items.size();
+    ++Counters.Errors;
   }
-  if (Stopping.load()) {
-    sendError(*Conn, "batch", Req.Id, errc::ShuttingDown,
-              "server is shutting down");
-    return;
-  }
-  if (Conn->idInFlight(Req.Id)) {
-    sendError(*Conn, "batch", Req.Id, errc::BadRequest,
-              formatString("id \"%s\" is already in flight on this "
-                           "connection",
-                           Req.Id.c_str()));
-    return;
-  }
-  if (!isKnown(KnownMappers, sizeof(KnownMappers) / sizeof(KnownMappers[0]),
-               Route.Mapper)) {
-    sendError(*Conn, "batch", Req.Id, errc::UnknownMapper,
-              formatString("unknown mapper \"%s\"", Route.Mapper.c_str()));
-    return;
-  }
-  std::shared_ptr<const PooledBackend> Backend =
-      lookupBackend(Route.Backend, Route.ErrorAware, Route.CalibrationSeed);
-  if (!Backend) {
-    sendError(*Conn, "batch", Req.Id, errc::UnknownBackend,
-              formatString("unknown backend \"%s\"", Route.Backend.c_str()));
-    return;
-  }
+  finishItem(S, Index, Code, formatErrorResponse("route", S.Id, Code, Message));
+}
 
-  const size_t Total = Req.Items.size();
-  auto Batch = std::make_shared<BatchState>();
-  Batch->Conn = Conn;
-  Batch->Id = Req.Id;
-  Batch->Mapper = Route.Mapper;
-  Batch->BackendName = Route.Backend;
-  Batch->Remaining.store(Total);
-  Batch->Status.assign(Total, std::string());
-  Batch->Names.resize(Total);
-  for (size_t I = 0; I < Total; ++I)
-    Batch->Names[I] = Req.Items[I].Name;
+void Server::replyResult(Session &S, size_t Index, const RouteStats &Stats,
+                         bool ContextCacheHit, bool ResultCacheHit,
+                         const std::string &Qasm, const json::Value *TraceJson,
+                         bool Coalesced) {
+  const RouteRequest &P = S.Params;
+  finishItem(S, Index, "ok",
+             S.IsBatch
+                 ? formatBatchItemResult(S.Id, Index, S.Names[Index], P.Mapper,
+                                         P.Backend, Stats, ContextCacheHit,
+                                         ResultCacheHit, Qasm, P.IncludeQasm,
+                                         TraceJson, Coalesced)
+                 : formatRouteResponse(S.Id, P.Mapper, P.Backend, Stats,
+                                       ContextCacheHit, ResultCacheHit, Qasm,
+                                       P.IncludeQasm, TraceJson, Coalesced));
+}
 
-  auto Deadline =
-      requestDeadline(Route.TimeoutMs, Options.DefaultTimeoutSeconds);
-
-  // Shared per-item parameters; progress streaming is a `route` feature
-  // (a batch already streams one frame per item).
-  RouteRequest Params;
-  Params.Mapper = Route.Mapper;
-  Params.Backend = Route.Backend;
-  Params.Bidirectional = Route.Bidirectional;
-  Params.ErrorAware = Route.ErrorAware;
-  Params.Affine = Route.Affine;
-  Params.CalibrationSeed = Route.CalibrationSeed;
-  Params.IncludeQasm = Route.IncludeQasm;
-  Params.TimeoutMs = Route.TimeoutMs;
-  Params.Trace = Route.Trace;
-  Params.TraceId = Route.TraceId;
-
-  // Per-item queue wait (and each item trace's epoch) is anchored at
-  // batch arrival: items genuinely wait while earlier ones are triaged.
-  const auto BatchStart = Trace::Clock::now();
-
-  // Triage every item before anything is enqueued or any frame is sent:
-  // the submission below is all-or-nothing, and a rejected batch must
-  // emit no item frames at all.
-  struct InlineFailure {
-    size_t Index;
-    const char *Code;
-    std::string Message;
-  };
-  struct InlineHit {
-    size_t Index;
-    std::shared_ptr<const CachedResult> Cached;
-  };
-  // An item whose key matches a flight already in the air (a foreign
-  // request's route, or an earlier identical item of this same batch).
-  // It must not route again — but it also must not attach yet: a foreign
-  // flight could complete (and deliver this item's frame) before the
-  // all-or-nothing submission decision below, and a rejected batch emits
-  // no item frames. Candidates are resolved only after submission.
-  struct CoalesceCandidate {
-    size_t Index;
-    std::shared_ptr<Circuit> Logical;
-    uint64_t CircuitFp;
-    CacheKey ResultKey;
-    std::shared_ptr<JobTicket> Ticket;
-  };
-  std::vector<InlineFailure> Failures;
-  std::vector<InlineHit> Hits;
-  std::vector<CoalesceCandidate> Candidates;
-  std::vector<SchedulerJob> Jobs;
-  std::vector<size_t> JobIndex; // Jobs[J] routes item JobIndex[J].
-  std::vector<std::shared_ptr<JobTicket>> LeaderTickets; // Parallels Jobs.
-
-  // Builds the scheduler job for an item that leads its flight. Every
-  // terminal path completes the flight (delivering any followers) before
-  // reporting through this batch's own frames.
-  auto MakeLeaderJob = [&](size_t I, std::shared_ptr<Circuit> Logical,
-                           uint64_t CircuitFp, CacheKey ResultKey) {
-    SchedulerJob Job;
-    Job.Deadline = Deadline;
-    Job.OnExpired = [this, Batch, I, ResultKey] {
-      Inflight->complete(
-          ResultKey,
-          coalescedFailure(errc::DeadlineExceeded,
-                           "deadline passed before a worker picked the item "
-                           "up"));
-      Batch->Conn->send(formatBatchItemError(
-          Batch->Id, I, Batch->Names[I], errc::DeadlineExceeded,
-          "deadline passed before a worker picked the item up"));
-      finishBatchItem(Batch, I, errc::DeadlineExceeded);
-    };
-    Job.Run = [this, Batch, I, Logical, Backend, Params, CircuitFp,
-               ResultKey, BatchStart](RoutingScratch &Scratch,
-                                      CancellationToken &Cancel) {
-      const auto Pickup = Trace::Clock::now();
-      Histos.QueueWait.recordNs(spanNs(BatchStart, Pickup));
-      std::unique_ptr<Trace> T;
-      if (Params.Trace) {
-        // Item traces correlate as "<trace id or batch id>-<index>".
-        std::string Base =
-            Params.TraceId.empty() ? Batch->Id : Params.TraceId;
-        T = std::make_unique<Trace>();
-        T->reset(Base.empty() ? generateTraceId()
-                              : formatString("%s-%zu", Base.c_str(), I),
-                 BatchStart);
-        T->add("queue_wait", BatchStart, Pickup);
-      }
-      RouteOutcome Out =
-          executeRoute(Logical, Backend, Params, CircuitFp, ResultKey,
-                       Scratch, Cancel, nullptr, T.get());
-      const auto Done = Trace::Clock::now();
-      Histos.BatchItem.recordNs(spanNs(Pickup, Done));
-      double TotalMs = spanNs(BatchStart, Done) / 1e6;
-      if (Options.SlowRequestMs > 0 && TotalMs >= Options.SlowRequestMs)
-        logSlowRequest("batch_item", Batch->Id, Params, TotalMs,
-                       Options.SlowRequestMs, T.get(), Done);
-      if (Out.Cancelled) {
-        auto [Code, Message] = cancellationError(Cancel);
-        // Followers are delivered first: the leader's possibly-slow
-        // writer must not delay their (other connections') responses.
-        Inflight->complete(ResultKey, coalescedFailure(Code, Message));
-        Batch->Conn->send(formatBatchItemError(Batch->Id, I,
-                                               Batch->Names[I], Code,
-                                               Message));
-        finishBatchItem(Batch, I, Code);
-        return;
-      }
-      if (Out.ErrorCode) {
-        Inflight->complete(ResultKey, coalescedFailure(Out.ErrorCode,
-                                                       Out.ErrorMessage));
-        Batch->Conn->send(formatBatchItemError(Batch->Id, I,
-                                               Batch->Names[I],
-                                               Out.ErrorCode,
-                                               Out.ErrorMessage));
-        finishBatchItem(Batch, I, Out.ErrorCode);
-        return;
-      }
-      {
-        InflightTable::Outcome FlightOut;
-        FlightOut.Ok = true;
-        FlightOut.ContextHit = Out.ContextHit;
-        FlightOut.Stats = Out.Stats;
-        FlightOut.Cached = Out.Cached;
-        Inflight->complete(ResultKey, FlightOut);
-      }
-      if (T) {
-        json::Value TraceJson = T->toJson(Done);
-        Batch->Conn->send(formatBatchItemResult(
-            Batch->Id, I, Batch->Names[I], Params.Mapper, Params.Backend,
-            Out.Stats, Out.ContextHit, /*ResultCacheHit=*/false,
-            Out.Cached->RoutedQasm, Params.IncludeQasm, &TraceJson));
-      } else {
-        Batch->Conn->send(formatBatchItemResult(
-            Batch->Id, I, Batch->Names[I], Params.Mapper, Params.Backend,
-            Out.Stats, Out.ContextHit, /*ResultCacheHit=*/false,
-            Out.Cached->RoutedQasm, Params.IncludeQasm));
-      }
-      finishBatchItem(Batch, I, "ok");
-    };
-    return Job;
-  };
-
-  for (size_t I = 0; I < Total; ++I) {
-    qasm::ImportResult Imported =
-        qasm::importQasm(Req.Items[I].Qasm, "request");
-    if (!Imported.succeeded()) {
-      Failures.push_back({I, errc::BadQasm, Imported.Error});
-      continue;
-    }
-    auto Logical = std::make_shared<Circuit>(
-        Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
-    if (Logical->numQubits() > Backend->Graph->numQubits()) {
-      Failures.push_back(
-          {I, errc::TooLarge,
-           formatString("circuit has %u qubits but %s only has %u",
-                        Logical->numQubits(), Route.Backend.c_str(),
-                        Backend->Graph->numQubits())});
-      continue;
-    }
-    uint64_t CircuitFp = fingerprint(*Logical);
-    uint64_t MapperConfigFp = hashCombine(
-        fingerprintString(Route.Mapper),
-        (Route.Affine ? 4u : 0u) | (Route.Bidirectional ? 2u : 0u) |
-            (Route.ErrorAware ? 1u : 0u));
-    CacheKey ResultKey{CircuitFp, Backend->Fingerprint, MapperConfigFp};
-    if (auto Cached = lookupResult(ResultKey)) {
-      Hits.push_back({I, std::move(Cached)});
-      continue;
-    }
-    // Leading is claimed *now*, with a fresh pre-made ticket, so that a
-    // within-batch duplicate triaged later sees the flight and coalesces
-    // instead of routing twice. The flights are unwound (completeByLeader)
-    // if the submission below is rejected.
-    auto Ticket = std::make_shared<JobTicket>();
-    if (Inflight->lead(ResultKey, Ticket)) {
-      Jobs.push_back(MakeLeaderJob(I, Logical, CircuitFp, ResultKey));
-      JobIndex.push_back(I);
-      LeaderTickets.push_back(std::move(Ticket));
-    } else {
-      Candidates.push_back(
-          {I, std::move(Logical), CircuitFp, ResultKey, std::move(Ticket)});
-    }
+void Server::replyCached(Session &S, size_t Index,
+                         const CachedResult &Cached) {
+  // A traced route marks the hit in its trace; batch hits carry none.
+  json::Value TraceJson;
+  if (Trace *T = S.RouteTrace.get()) {
+    const auto Now = Trace::Clock::now();
+    T->addNs("result_cache_hit", T->sinceEpochNs(Now), 0);
+    TraceJson = T->toJson(Now);
   }
+  recordRouteLatency(S);
+  replyResult(S, Index, statsFromCached(Cached), /*ContextCacheHit=*/false,
+              /*ResultCacheHit=*/true, Cached.RoutedQasm,
+              S.RouteTrace ? &TraceJson : nullptr);
+}
 
-  // Register before submission so a completing worker's releaseBatch()
-  // always finds the entry; requests on this connection are read
-  // serially, so no cancel can slip in between.
-  {
-    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    Conn->InFlightBatches[Req.Id] = Batch;
-  }
-  if (!Jobs.empty()) {
-    std::vector<std::shared_ptr<JobTicket>> Tickets =
-        Workers->trySubmitBatch(std::move(Jobs), LeaderTickets);
-    if (Tickets.empty()) {
-      // All-or-nothing rejection: nothing ran, nothing was sent — one
-      // error response covers the whole batch. The flights claimed at
-      // triage die with it: any *foreign* follower that coalesced onto
-      // them meanwhile gets the rejection as a structured error (this
-      // batch's own candidates have not attached yet, so no item frame
-      // escapes).
-      const char *Code =
-          Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-      std::string Message =
-          Stopping.load()
-              ? "server is shutting down"
-              : formatString("scheduler queue lacks capacity for %zu "
-                             "batch items, retry later",
-                             JobIndex.size());
-      for (const std::shared_ptr<JobTicket> &Ticket : LeaderTickets)
-        Inflight->completeByLeader(Ticket, coalescedFailure(Code, Message));
-      Conn->releaseBatch(Req.Id);
-      sendError(*Conn, "batch", Req.Id, Code, Message);
-      return;
-    }
-    for (size_t J = 0; J < Tickets.size(); ++J)
-      Batch->Tickets.emplace_back(std::move(Tickets[J]), JobIndex[J]);
-  }
-
-  // The batch is committed: coalesce candidates may attach now. A
-  // candidate whose flight resolved in the window since triage is served
-  // from the result cache, or — when the flight failed and left no
-  // result — routed individually after all.
-  for (CoalesceCandidate &C : Candidates) {
-    for (;;) {
-      InflightTable::Follower F;
-      F.Ticket = C.Ticket;
-      F.Deadline = Deadline;
-      F.Deliver = [this, Batch, I = C.Index, Mapper = Route.Mapper,
-                   BackendName = Route.Backend,
-                   IncludeQasm =
-                       Route.IncludeQasm](const InflightTable::Outcome &O) {
-        if (!O.Ok) {
-          Batch->Conn->send(formatBatchItemError(
-              Batch->Id, I, Batch->Names[I], O.ErrorCode, O.ErrorMessage));
-          finishBatchItem(Batch, I, O.ErrorCode);
-          return;
-        }
-        Batch->Conn->send(formatBatchItemResult(
-            Batch->Id, I, Batch->Names[I], Mapper, BackendName, O.Stats,
-            O.ContextHit, /*ResultCacheHit=*/false, O.Cached->RoutedQasm,
-            IncludeQasm, /*TraceJson=*/nullptr, /*Coalesced=*/true));
-        finishBatchItem(Batch, I, "ok");
-      };
-      if (Inflight->tryAttach(C.ResultKey, std::move(F))) {
-        {
-          std::lock_guard<std::mutex> Lock(CounterMu);
-          ++Counters.Coalesced;
-        }
-        Batch->Tickets.emplace_back(C.Ticket, C.Index);
-        break;
-      }
-      if (auto Cached = lookupResult(C.ResultKey)) {
-        RouteStats Stats = statsFromCached(*Cached);
-        Conn->send(formatBatchItemResult(
-            Req.Id, C.Index, Batch->Names[C.Index], Route.Mapper,
-            Route.Backend, Stats, /*ContextCacheHit=*/false,
-            /*ResultCacheHit=*/true, Cached->RoutedQasm, Route.IncludeQasm));
-        finishBatchItem(Batch, C.Index, "ok");
-        break;
-      }
-      if (Inflight->lead(C.ResultKey, C.Ticket)) {
-        if (!Workers->trySubmit(
-                MakeLeaderJob(C.Index, C.Logical, C.CircuitFp, C.ResultKey),
-                C.Ticket)) {
-          const char *Code =
-              Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-          const char *Message = Stopping.load()
-                                    ? "server is shutting down"
-                                    : "scheduler queue is full, retry later";
-          Inflight->completeByLeader(C.Ticket,
-                                     coalescedFailure(Code, Message));
-          Conn->send(formatBatchItemError(Req.Id, C.Index,
-                                          Batch->Names[C.Index], Code,
-                                          Message));
-          finishBatchItem(Batch, C.Index, Code);
-        } else {
-          Batch->Tickets.emplace_back(C.Ticket, C.Index);
-        }
-        break;
-      }
-      // Another identical request took the lead in the window between
-      // the failed attach and the failed lead; retry the attach.
-    }
-  }
-
-  // Inline outcomes go out only now, after the all-or-nothing decision.
-  // Workers may already be streaming their items — fine; the summary
-  // still waits for these, because their countdown slots are ours.
-  for (const InlineHit &Hit : Hits) {
-    RouteStats Stats;
-    Stats.LogicalGates = Hit.Cached->LogicalGates;
-    Stats.RoutedGates = Hit.Cached->RoutedGates;
-    Stats.Swaps = Hit.Cached->Swaps;
-    Stats.DepthBefore = Hit.Cached->DepthBefore;
-    Stats.DepthAfter = Hit.Cached->DepthAfter;
-    Stats.MappingSeconds = Hit.Cached->MappingSeconds;
-    Stats.TimedOut = Hit.Cached->TimedOut;
-    Stats.Verified = Hit.Cached->Verified;
-    Stats.SuccessProbability = Hit.Cached->SuccessProbability;
-    Conn->send(formatBatchItemResult(
-        Req.Id, Hit.Index, Batch->Names[Hit.Index], Route.Mapper,
-        Route.Backend, Stats, /*ContextCacheHit=*/false,
-        /*ResultCacheHit=*/true, Hit.Cached->RoutedQasm,
-        Route.IncludeQasm));
-    finishBatchItem(Batch, Hit.Index, "ok");
-  }
-  for (const InlineFailure &Failure : Failures) {
-    Conn->send(formatBatchItemError(Req.Id, Failure.Index,
-                                    Batch->Names[Failure.Index],
-                                    Failure.Code, Failure.Message));
-    finishBatchItem(Batch, Failure.Index, Failure.Code);
-  }
+void Server::recordRouteLatency(const Session &S) {
+  if (!S.IsBatch)
+    Histos.Route.recordNs(spanNs(S.Arrival, Trace::Clock::now()));
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,23 +20,35 @@
 /// responses out of order and one slow route never head-of-line-blocks
 /// the rest of the stream.
 ///
-/// Request path for `route`:
+/// Request path — one for `route` and `batch`: a route is a batch of
+/// one item, and both run as a Session.
 ///
-///   connection thread: parse line -> validate mapper/backend -> import
-///   QASM -> fingerprint -> result-cache lookup (hit: respond now) ->
-///   register the job ticket under its id -> trySubmit (full queue:
-///   `queue_full`) -> **keep reading** (no wait).
+///   connection thread: parse line -> validate mapper/backend -> per
+///   item: import QASM -> fingerprint -> result-cache/store lookup (a hit
+///   is answered after admission) -> lead the item's flight, or — when an
+///   identical request is already routing — become a coalesce candidate
+///   -> register the session under its id -> all-or-nothing
+///   trySubmitBatch of the leaders (full queue: one `queue_full` error,
+///   no item frames) -> attach the candidates as followers -> send the
+///   inline hits and failures -> **keep reading** (no wait).
 ///
 ///   worker thread: context-cache getOrBuild (shared RoutingContext with
 ///   warm omega weights) -> route with the worker's pooled RoutingScratch,
 ///   polling the job's CancellationToken once per front-layer step ->
-///   verify -> print -> insert result cache -> write the response through
-///   the connection writer, or the `cancelled`/`deadline_exceeded` error
-///   when the token fired mid-route.
+///   verify -> print -> insert result cache -> complete the flight (its
+///   followers are answered first) -> reply, or the `cancelled` /
+///   `deadline_exceeded` error when the token fired mid-route.
 ///
-///   `cancel` (connection thread): look up the ticket by id; a queued job
-///   is unqueued and answered `cancelled` immediately, a running one has
-///   its token signalled and answers through its own completion path.
+///   reply sink (the only per-op code): a route answers with one `route`
+///   response, streaming `progress` events while it routes; a batch
+///   answers with one `batch_item` frame per item and the summary after
+///   the last. The session's countdown decides which thread sends the
+///   final frame, and that thread releases the id first.
+///
+///   `cancel` (connection thread): look up the session by id; each queued
+///   item is unqueued and answered `cancelled` immediately, each running
+///   one has its token signalled and answers through its own completion
+///   path.
 ///
 /// Flow control: responses are written with a per-send timeout
 /// (SO_SNDTIMEO, 10 s) *and* a 30 s cumulative per-frame bound, so a
@@ -47,7 +59,7 @@
 ///
 /// Threading/ownership contract: the Server owns the accept thread, one
 /// connection thread per live connection, and the scheduler's workers.
-/// Each Connection object (socket fd + writer mutex + in-flight job
+/// Each Connection object (socket fd + writer mutex + in-flight session
 /// table) is shared between its connection thread and the workers running
 /// its jobs via shared_ptr; the fd closes when the last holder drops, so
 /// a worker can never write into a recycled fd. Caches are internally
@@ -225,18 +237,17 @@ private:
   };
 
   /// Per-connection shared state: the socket, the serialized writer, and
-  /// the in-flight cancellable-job table. Defined in Server.cpp.
+  /// the in-flight session table. Defined in Server.cpp.
   struct Connection;
 
-  /// Shared state of one in-flight `batch` session: per-item outcome
-  /// slots, the remaining-item countdown whose final decrement sends the
-  /// summary (which is how "summary always last" is enforced), and the
-  /// per-item scheduler tickets for whole-batch cancellation. Defined in
-  /// Server.cpp.
-  struct BatchState;
+  /// Shared state of one in-flight `route` (one item) or `batch` (N
+  /// items): per-item outcome slots, the remaining-item countdown whose
+  /// final decrement sends the final frame (which is how "summary always
+  /// last" is enforced), and the per-item tickets for cancellation.
+  /// Defined in Server.cpp.
+  struct Session;
 
-  /// Outcome of the worker-side routing core shared by `route` and
-  /// `batch` items. Defined in Server.cpp.
+  /// Outcome of the worker-side routing core. Defined in Server.cpp.
   struct RouteOutcome;
 
   void acceptLoop();
@@ -250,17 +261,27 @@ private:
   /// the connection ahead of it.
   void handleLine(const std::shared_ptr<Connection> &Conn,
                   const std::string &Line, bool &StopAfterSend);
-  void handleRoute(const std::shared_ptr<Connection> &Conn,
-                   const Request &Req);
-  void handleBatch(const std::shared_ptr<Connection> &Conn,
-                   const Request &Req);
+  /// The one request path of `route` and `batch`: validation, per-item
+  /// triage (import, result key, cache/store lookup, flight lead), all-
+  /// or-nothing admission, coalesce-candidate attach, then the inline
+  /// outcomes.
+  void handleSession(const std::shared_ptr<Connection> &Conn,
+                     const Request &Req);
   void handleCancel(const std::shared_ptr<Connection> &Conn,
                     const Request &Req);
 
-  /// The mapper/context/route/verify/cache core every routed request runs
-  /// on a worker thread; `route` and `batch` items differ only in how
-  /// they report the outcome. \p BeforeRoute, when set, runs right before
-  /// the main routing pass (after the bidirectional derive) — the hook
+  /// The scheduler job of item \p I, which leads its flight. Every
+  /// terminal path completes the flight (delivering any followers) before
+  /// replying through the session.
+  SchedulerJob makeLeaderJob(const std::shared_ptr<Session> &S, size_t I,
+                             std::shared_ptr<Circuit> Logical,
+                             std::shared_ptr<const PooledBackend> Backend,
+                             uint64_t CircuitFp, const CacheKey &ResultKey,
+                             std::chrono::steady_clock::time_point Deadline);
+
+  /// The mapper/context/route/verify/cache core every routed item runs
+  /// on a worker thread. \p BeforeRoute, when set, runs right before the
+  /// main routing pass (after the bidirectional derive) — the hook
   /// `route` uses to install its progress sink.
   /// \p T, when non-null, receives the per-phase spans of this request
   /// (context_build, initial_mapping, routing_loop, verify, print_qasm)
@@ -274,18 +295,32 @@ private:
                             const std::function<void()> &BeforeRoute,
                             Trace *T = nullptr);
 
-  /// Records item \p Index's terse outcome and performs the batch's
-  /// completion protocol: the thread whose decrement empties the batch
-  /// releases the id and writes the summary — necessarily after every
-  /// item frame, because each item's frame is sent before its decrement.
-  void finishBatchItem(const std::shared_ptr<BatchState> &Batch, size_t Index,
-                       const char *Status);
-
-  /// Cancels every item of \p Batch: queued items are claimed, reported
-  /// (`cancelled` item frame) and finished here; running items get their
+  /// Cancels every item of \p S: queued items (and followers) are
+  /// claimed and answered `cancelled` with \p Reason — which their
+  /// flight's followers inherit — right here; running items get their
   /// tokens signalled and report through their own completion paths.
   /// Returns whether any item was still live.
-  bool cancelBatch(const std::shared_ptr<BatchState> &Batch);
+  bool cancelSession(Session &S, const std::string &Reason);
+
+  /// The reply sink — the only per-op code on the request path. A route
+  /// answers with one `route` response (or error response); a batch with
+  /// one `batch_item` frame per item and the summary after the last.
+  /// finishItem records item \p Index's terse outcome and runs the
+  /// countdown: the thread whose decrement empties the session releases
+  /// the id and writes the final frame.
+  void finishItem(Session &S, size_t Index, const char *Status,
+                  const std::string &Frame);
+  void replyError(Session &S, size_t Index, const char *Code,
+                  const std::string &Message);
+  void replyResult(Session &S, size_t Index, const RouteStats &Stats,
+                   bool ContextCacheHit, bool ResultCacheHit,
+                   const std::string &Qasm, const json::Value *TraceJson,
+                   bool Coalesced = false);
+  /// A result-cache (or store) hit; a traced route marks it in its trace.
+  void replyCached(Session &S, size_t Index, const CachedResult &Cached);
+  /// Records the `route` histogram (arrival to now) for a route's inline
+  /// or coalesced answer; batch items record worker time instead.
+  void recordRouteLatency(const Session &S);
 
   /// Writes an error response through \p Conn and bumps the error
   /// counter (callable from any thread).

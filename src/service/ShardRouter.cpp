@@ -66,12 +66,9 @@ int HashRing::pick(uint64_t Key, const std::vector<char> &Alive) const {
 
 uint64_t service::shardKeyForRequest(const Request &Req) {
   uint64_t Key = fingerprintString(Req.Route.Backend);
-  if (Req.TheOp == Op::Batch) {
-    for (const BatchItem &Item : Req.Items)
-      Key = hashCombine(Key, fingerprintString(Item.Qasm));
-    return Key;
-  }
-  return hashCombine(Key, fingerprintString(Req.Route.Qasm));
+  for (const BatchItem &Item : Req.Items)
+    Key = hashCombine(Key, fingerprintString(Item.Qasm));
+  return Key;
 }
 
 //===----------------------------------------------------------------------===//
@@ -301,12 +298,16 @@ void RouterServer::teardown() {
   TornDown = true;
   Stopping.store(true);
 
-  Acceptor.close();
+  // Wake both accept loops, and only close the listeners once their
+  // threads no longer read them.
+  Acceptor.wake();
+  MetricsAcceptor.wake();
   if (AcceptThread.joinable())
     AcceptThread.join();
-  MetricsAcceptor.close();
   if (MetricsThread.joinable())
     MetricsThread.join();
+  Acceptor.close();
+  MetricsAcceptor.close();
 
   RetryCv.notify_all();
   if (RetryThread.joinable())
@@ -1020,9 +1021,11 @@ void RouterServer::retryLoop() {
         [](const PendingRetry &A, const PendingRetry &B) {
           return A.Due < B.Due;
         });
-    auto Now = std::chrono::steady_clock::now();
-    if (Soonest->Due > Now) {
-      RetryCv.wait_until(Lock, Soonest->Due);
+    // By value: wait_until rereads its deadline after relocking, when a
+    // push may have reallocated the queue under the element.
+    const auto Due = Soonest->Due;
+    if (Due > std::chrono::steady_clock::now()) {
+      RetryCv.wait_until(Lock, Due);
       continue;
     }
     PendingRetry R = std::move(*Soonest);

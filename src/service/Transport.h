@@ -98,9 +98,15 @@ public:
   /// accept error).
   int acceptConnection();
 
-  /// Shuts down and closes the listening socket (unblocking a blocked
-  /// acceptConnection()) and unlinks a unix socket file this listener
-  /// created.
+  /// Wakes a thread blocked in acceptConnection() (which then returns
+  /// -1) without releasing the descriptor, so it is safe to call while
+  /// that thread runs. Shutdown is two steps: wake(), join the accepting
+  /// thread, then close().
+  void wake();
+
+  /// Closes the listening socket and unlinks a unix socket file this
+  /// listener created. Must not race acceptConnection(): join the
+  /// accepting thread first (after wake()).
   void close();
 
   bool listening() const { return Fd >= 0; }

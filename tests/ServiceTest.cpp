@@ -1653,6 +1653,146 @@ TEST(CoalescingTest, DuplicateBatchItemsCoalesce) {
       << "a duplicate batch item must not route twice";
 }
 
+namespace {
+
+/// Sends a one-item batch and returns its item frame (fails the test
+/// unless exactly one arrives before a successful summary).
+json::Value oneItemBatch(Client &Conn, const std::string &Id,
+                         const std::string &Qasm,
+                         const std::string &Mapper = "qlosure",
+                         const std::string &Backend = "aspen16") {
+  std::vector<std::string> Frames;
+  std::string Summary;
+  EXPECT_TRUE(
+      Conn.sendLine(batchRequest(Id, {{"", Qasm}}, Mapper, Backend).dump())
+          .ok());
+  EXPECT_TRUE(Conn.recvResponseFor(
+                      Id, Summary,
+                      [&](const std::string &L) { Frames.push_back(L); },
+                      "batch")
+                  .ok());
+  EXPECT_TRUE(responseOk(parseResponse(Summary))) << Summary;
+  EXPECT_EQ(Frames.size(), 1u) << Summary;
+  return Frames.empty() ? json::Value() : parseResponse(Frames[0]);
+}
+
+/// The stats object minus its wall-clock member: two cold routes of one
+/// circuit agree on everything but how long the mapper took.
+std::string statsSansTiming(const json::Value &Doc) {
+  json::Value Out = json::Value::object();
+  for (const auto &[Key, V] : Doc.get("stats")->members())
+    if (Key != "mapping_seconds")
+      Out.set(Key, V);
+  return Out.dump();
+}
+
+/// Polls `stats` until the scheduler has accepted \p Want jobs.
+void awaitSubmittedCount(Client &Control, uint64_t Want) {
+  for (int I = 0; I < 400; ++I) {
+    std::string Line;
+    ASSERT_TRUE(Control.request("{\"op\":\"stats\"}", Line).ok());
+    if (parseResponse(Line).get("scheduler")->get("submitted")->asNumber() >=
+        static_cast<double>(Want))
+      return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  FAIL() << "the scheduler never accepted the job";
+}
+
+} // namespace
+
+TEST(RouteBatchParityTest, RouteAndOneItemBatchAnswerIdentically) {
+  // Cold: each op on its own fresh daemon routes the circuit itself.
+  ServerFixture RouteSide(2), BatchSide(2);
+  Client RouteConn = RouteSide.connect();
+  Client BatchConn = BatchSide.connect();
+  std::string Line;
+  ASSERT_TRUE(
+      RouteConn.request(routeRequest(sampleQasm()).dump(), Line).ok());
+  json::Value Routed = parseResponse(Line);
+  ASSERT_TRUE(responseOk(Routed)) << Line;
+  json::Value Item = oneItemBatch(BatchConn, "b0", sampleQasm());
+  ASSERT_NE(Item.get("stats"), nullptr) << Item.dump();
+  EXPECT_EQ(statsSansTiming(Item), statsSansTiming(Routed));
+  EXPECT_EQ(Item.get("qasm")->asString(), Routed.get("qasm")->asString());
+  for (const char *Flag :
+       {"cache_hit", "context_cache_hit", "result_cache_hit"})
+    EXPECT_EQ(Item.get(Flag)->asBool(), Routed.get(Flag)->asBool()) << Flag;
+  EXPECT_EQ(Item.get("coalesced"), nullptr);
+  EXPECT_EQ(Routed.get("coalesced"), nullptr);
+
+  // Warm: on one daemon, a route and a one-item batch both hit the
+  // result the route left — the same stored stats, byte for byte.
+  ASSERT_TRUE(
+      RouteConn.request(routeRequest(sampleQasm()).dump(), Line).ok());
+  json::Value RouteHit = parseResponse(Line);
+  ASSERT_TRUE(responseOk(RouteHit)) << Line;
+  json::Value ItemHit = oneItemBatch(RouteConn, "b1", sampleQasm());
+  ASSERT_NE(ItemHit.get("stats"), nullptr) << ItemHit.dump();
+  EXPECT_EQ(ItemHit.get("stats")->dump(), RouteHit.get("stats")->dump());
+  EXPECT_EQ(ItemHit.get("stats")->dump(), Routed.get("stats")->dump());
+  EXPECT_EQ(ItemHit.get("qasm")->asString(),
+            RouteHit.get("qasm")->asString());
+  for (const char *Flag :
+       {"cache_hit", "context_cache_hit", "result_cache_hit"})
+    EXPECT_EQ(ItemHit.get(Flag)->asBool(), RouteHit.get(Flag)->asBool())
+        << Flag;
+  EXPECT_TRUE(RouteHit.get("result_cache_hit")->asBool());
+}
+
+TEST(RouteBatchParityTest, RouteCoalescesOntoInFlightBatchItem) {
+  ServerFixture Fixture(2);
+  const std::string Slow = deepQuekoQasm(300, 65);
+  Client BatchConn = Fixture.connect();
+  Client Control = Fixture.connect();
+  ASSERT_TRUE(BatchConn
+                  .sendLine(batchRequest("b", {{"slow", Slow}}, "qmap",
+                                         "sherbrooke2x")
+                                .dump())
+                  .ok());
+  // The item leads its flight from triage until its route completes.
+  awaitSubmittedCount(Control, 1);
+
+  Client RouteConn = Fixture.connect();
+  json::Value Req = routeRequest(Slow, "qmap", "sherbrooke2x");
+  Req.set("id", "r");
+  ASSERT_TRUE(RouteConn.sendLine(Req.dump()).ok());
+  awaitCoalescedCount(Control, 1);
+
+  // Drain both concurrently: the follower is answered before the
+  // leader's own frame, and neither may stall the delivering worker.
+  std::string RouteResp, Summary;
+  std::vector<std::string> Frames;
+  std::thread Reader([&] {
+    RouteConn.recvResponseFor("r", RouteResp, {}, "route");
+  });
+  Status BatchRead = BatchConn.recvResponseFor(
+      "b", Summary, [&](const std::string &L) { Frames.push_back(L); },
+      "batch");
+  Reader.join();
+  ASSERT_TRUE(BatchRead.ok()) << BatchRead.message();
+
+  json::Value RouteDoc = parseResponse(RouteResp);
+  ASSERT_TRUE(responseOk(RouteDoc)) << RouteResp;
+  ASSERT_NE(RouteDoc.get("coalesced"), nullptr) << RouteResp;
+  EXPECT_TRUE(RouteDoc.get("coalesced")->asBool());
+  ASSERT_EQ(Frames.size(), 1u) << Summary;
+  json::Value Item = parseResponse(Frames[0]);
+  ASSERT_NE(Item.get("stats"), nullptr) << Frames[0];
+  EXPECT_EQ(Item.get("coalesced"), nullptr) << "the batch item led";
+  EXPECT_EQ(RouteDoc.get("qasm")->asString(), Item.get("qasm")->asString());
+  EXPECT_EQ(RouteDoc.get("stats")->dump(), Item.get("stats")->dump());
+
+  std::string StatsLine;
+  ASSERT_TRUE(Control.request("{\"op\":\"stats\"}", StatsLine).ok());
+  EXPECT_EQ(parseResponse(StatsLine)
+                .get("scheduler")
+                ->get("submitted")
+                ->asNumber(),
+            1)
+      << "the coalesced route must not schedule a job of its own";
+}
+
 TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
   std::string StorePath = formatString("/tmp/qls-store-%d-%u.qstore",
                                        static_cast<int>(getpid()), 0u);
@@ -1701,7 +1841,8 @@ TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
 
     std::string StatsLine;
     ASSERT_TRUE(Conn.request("{\"op\":\"stats\"}", StatsLine).ok());
-    const json::Value *Store = parseResponse(StatsLine).get("store");
+    json::Value StatsDoc = parseResponse(StatsLine);
+    const json::Value *Store = StatsDoc.get("store");
     ASSERT_NE(Store, nullptr) << StatsLine;
     EXPECT_GE(Store->get("records")->asNumber(), 1);
     EXPECT_GE(Store->get("hits")->asNumber(), 1);

@@ -177,13 +177,14 @@ TEST(HashRingTest, MappingSurvivesAddressListReordering) {
 TEST(ShardRouterTest, ShardKeyTracksCircuitAndBackend) {
   Request Req;
   Req.TheOp = Op::Route;
-  Req.Route.Qasm = sampleQasm();
+  Req.Items.resize(1);
+  Req.Items[0].Qasm = sampleQasm();
   Req.Route.Backend = "aspen16";
   uint64_t Base = shardKeyForRequest(Req);
   EXPECT_EQ(Base, shardKeyForRequest(Req)) << "key must be deterministic";
 
   Request OtherCircuit = Req;
-  OtherCircuit.Route.Qasm = sampleQasm(3);
+  OtherCircuit.Items[0].Qasm = sampleQasm(3);
   EXPECT_NE(shardKeyForRequest(OtherCircuit), Base);
 
   Request OtherBackend = Req;
@@ -209,6 +210,30 @@ TEST(ShardRouterTest, ShardKeyTracksCircuitAndBackend) {
   EXPECT_NE(shardKeyForRequest(Reordered), BatchKey)
       << "item order participates in the key (any stable rule works, "
          "but it must be deterministic)";
+
+  // A route is a one-item batch: both land on the same shard, and the
+  // route's key is the one it always had (backend, then its circuit).
+  EXPECT_EQ(Base, hashCombine(fingerprintString("aspen16"),
+                              fingerprintString(sampleQasm())));
+  Request OneItem = Req;
+  OneItem.TheOp = Op::Batch;
+  EXPECT_EQ(shardKeyForRequest(OneItem), Base);
+  // The parsed wire forms agree too.
+  json::Value BatchObj = json::Value::object();
+  BatchObj.set("op", "batch");
+  BatchObj.set("id", "b");
+  BatchObj.set("backend", "aspen16");
+  json::Value Items = json::Value::array();
+  json::Value Item = json::Value::object();
+  Item.set("qasm", sampleQasm());
+  Items.push(std::move(Item));
+  BatchObj.set("items", std::move(Items));
+  RequestParse RouteLine = parseRequest(routeRequest(sampleQasm()).dump());
+  RequestParse BatchLine = parseRequest(BatchObj.dump());
+  ASSERT_TRUE(RouteLine.Ok) << RouteLine.ErrorMessage;
+  ASSERT_TRUE(BatchLine.Ok) << BatchLine.ErrorMessage;
+  EXPECT_EQ(shardKeyForRequest(RouteLine.Req), Base);
+  EXPECT_EQ(shardKeyForRequest(BatchLine.Req), Base);
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,7 +392,8 @@ TEST(ShardRouterTest, RoutesByteIdenticallyAndSticksToOneShard) {
 
     Request Req;
     Req.TheOp = Op::Route;
-    Req.Route.Qasm = Qasm;
+    Req.Items.resize(1);
+    Req.Items[0].Qasm = Qasm;
     Req.Route.Backend = "aspen16";
     size_t Owner = Fleet.owningShard(Req);
     Client Direct;
