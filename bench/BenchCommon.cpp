@@ -31,8 +31,6 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
       Config.Verify = false;
     } else if (std::strcmp(Argv[I], "--affine") == 0) {
       Config.Affine = true;
-    } else if (std::strcmp(Argv[I], "--simd") == 0) {
-      Config.Simd = true;
     } else if (std::strcmp(Argv[I], "--seed") == 0 && I + 1 < Argc) {
       Config.Seed = std::strtoull(Argv[++I], nullptr, 10);
     } else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc) {
@@ -47,7 +45,7 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--full] [--seed N] [--no-verify] "
-                   "[--affine] [--simd] [--threads N] [--fleet N]\n",
+                   "[--affine] [--threads N] [--fleet N]\n",
                    Argv[0]);
       std::exit(2);
     }

@@ -38,11 +38,6 @@ struct BenchConfig {
   /// supports it (bench_kernel_throughput appends a replay-vs-scalar
   /// section; binaries without an affine mode accept and ignore it).
   bool Affine = false;
-  /// --simd: compare the vectorized swap-candidate scoring lanes against
-  /// the scalar fallback in the same binary (bench_kernel_throughput
-  /// appends a per-mapper scalar-vs-SIMD section with a byte-identity
-  /// check; binaries without a SIMD mode accept and ignore the flag).
-  bool Simd = false;
   /// --fleet N: boot N daemons behind a consistent-hash shard router and
   /// append a fleet-throughput section (bench_service_throughput; other
   /// binaries accept and ignore the flag). 0 disables the fleet tier.

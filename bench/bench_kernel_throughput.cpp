@@ -1,29 +1,17 @@
-//===- bench/bench_kernel_throughput.cpp - Scratch kernel vs reference ----------===//
+//===- bench/bench_kernel_throughput.cpp - Routing kernel throughput ------------===//
 //
 // Part of the Qlosure project. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Byte-identity harness and speedup report for the allocation-free
-/// routing kernel (RoutingScratch, PR 3): every QUEKO 54-qbt depth-500
-/// instance is routed twice per mapper — once through the frozen
-/// pre-scratch reference path (bench/ReferenceKernel) and once through the
-/// live kernel with one reused RoutingScratch — and the two routed
-/// circuits must match gate for gate (kinds, operands, params, swap flags,
-/// final mapping). On top of the identity check the bench reports
-/// swaps/sec and gates/sec of the kernel path and its speedup over the
-/// reference; the PR 3 acceptance bar is >= 1.5x per mapper.
-///
-/// With --simd the bench additionally routes every instance twice more
-/// per mapper — once with the vectorized swap-candidate scoring lanes
-/// forced off (simd::setEnabled(false), the scalar fallback) and once
-/// with them on — and appends a "simd" section to the JSON document.
-/// The two paths must be gate-for-gate identical per mapper; the section
-/// reports the per-mapper scalar/SIMD wall clocks and the active ISA
-/// ("avx" / "sse2" / "scalar" for a -DQLOSURE_SIMD=OFF build, where both
-/// passes run the same scalar loops and the speedup is ~1.0 by
-/// construction).
+/// Throughput of the five routing kernels: every QUEKO 54-qbt depth-500
+/// instance (generated on sycamore54, routed on sherbrooke) is routed once
+/// per mapper through one reused RoutingScratch, and the bench reports
+/// swaps/sec and gates/sec per mapper. Every routed circuit is checked
+/// with verifyRouting unless --no-verify is given. Byte identity of the
+/// kernels is not checked here: tests/KernelGoldenTest.cpp pins every
+/// mapper's output on this sweep with committed golden digests.
 ///
 /// With --affine the bench additionally routes a structured loop workload
 /// (QFT-like kernel) twice through the qlosure mapper — scalar unweighted
@@ -39,25 +27,14 @@
 ///     "gen_device": "sycamore54",
 ///     "backend": "sherbrooke",
 ///     "instances": <int>,               // circuits routed per mapper
-///     "all_identical": <bool>,          // AND over every mapper
+///     "verify": <string>,               // "passed" | "failed" | "skipped"
 ///     "mappers": [
 ///       { "name": <string>,            // mapper display name
-///         "identical": <bool>,          // kernel == reference, all runs
-///         "swaps": <int>,               // total inserted swaps (kernel)
+///         "swaps": <int>,               // total inserted swaps
 ///         "routed_gates": <int>,        // total routed gates incl. swaps
-///         "ref_seconds": <float>,       // reference path wall clock
-///         "kernel_seconds": <float>,    // kernel path wall clock
-///         "speedup": <float>,           // ref_seconds / kernel_seconds
+///         "kernel_seconds": <float>,    // routing wall clock
 ///         "kernel_swaps_per_sec": <float>,
 ///         "kernel_gates_per_sec": <float> }, ... ],
-///     "simd": {                           // only with --simd
-///       "isa": <string>,                  // "avx" | "sse2" | "scalar"
-///       "compiled": <bool>,               // QLOSURE_SIMD=ON at build
-///       "all_identical": <bool>,          // SIMD == scalar, per mapper
-///       "mappers": [
-///         { "name": <string>, "identical": <bool>,
-///           "scalar_seconds": <float>, "simd_seconds": <float>,
-///           "speedup": <float> }, ... ] },
 ///     "affine_replay": {                  // only with --affine
 ///       "workload": <string>,
 ///       "backend": <string>,
@@ -69,21 +46,18 @@
 ///       "fallback_periods": <int> }
 ///   }
 ///
-/// --threads is accepted for flag uniformity but ignored: the comparison
-/// is inherently serial (one scratch, interleaved timing). Routing many
-/// circuits in parallel is bench_batch_throughput's job; this bench
-/// measures the single-thread kernel that each of those workers runs.
+/// --threads is accepted for flag uniformity but ignored: the bench times
+/// the single-thread kernel that each BatchRunner worker runs. Routing
+/// many circuits in parallel is bench_batch_throughput's job.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "bench/ReferenceKernel.h"
 #include "baselines/CirqGreedy.h"
 #include "baselines/QmapAstar.h"
 #include "baselines/Sabre.h"
 #include "baselines/TketBounded.h"
 #include "core/Qlosure.h"
-#include "core/SimdScore.h"
 #include "route/Verify.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
@@ -138,26 +112,23 @@ bool resultsIdentical(const RoutingResult &A, const RoutingResult &B,
 
 struct MapperRow {
   std::string Name;
-  bool Identical = true;
   size_t Swaps = 0;
   size_t RoutedGates = 0;
-  double RefSeconds = 0;
   double KernelSeconds = 0;
 };
 
-/// The five kernel mappers, configured exactly like their reference twins
-/// (defaults everywhere; QMAP's wall-clock budget effectively unlimited so
-/// both paths take identical decisions).
-std::vector<std::pair<std::string, std::unique_ptr<Router>>>
-makeKernelMappers() {
-  std::vector<std::pair<std::string, std::unique_ptr<Router>>> Mappers;
-  Mappers.emplace_back("qlosure", std::make_unique<QlosureRouter>());
-  Mappers.emplace_back("sabre", std::make_unique<SabreRouter>());
+/// The five kernel mappers with default options, except that QMAP's
+/// wall-clock budget is effectively unlimited so its decisions do not
+/// depend on machine load.
+std::vector<std::unique_ptr<Router>> makeKernelMappers() {
+  std::vector<std::unique_ptr<Router>> Mappers;
+  Mappers.push_back(std::make_unique<QlosureRouter>());
+  Mappers.push_back(std::make_unique<SabreRouter>());
   QmapOptions Qmap;
   Qmap.TimeBudgetSeconds = 1e9;
-  Mappers.emplace_back("qmap", std::make_unique<QmapAstarRouter>(Qmap));
-  Mappers.emplace_back("cirq", std::make_unique<CirqGreedyRouter>());
-  Mappers.emplace_back("tket", std::make_unique<TketBoundedRouter>());
+  Mappers.push_back(std::make_unique<QmapAstarRouter>(Qmap));
+  Mappers.push_back(std::make_unique<CirqGreedyRouter>());
+  Mappers.push_back(std::make_unique<TketBoundedRouter>());
   return Mappers;
 }
 
@@ -165,8 +136,7 @@ makeKernelMappers() {
 
 int main(int Argc, char **Argv) {
   BenchConfig Config = parseArgs(Argc, Argv);
-  printBanner("Kernel throughput (RoutingScratch vs frozen reference)",
-              Config);
+  printBanner("Kernel throughput (RoutingScratch)", Config);
 
   const unsigned Depth = 500;
   const unsigned NumInstances = Config.Full ? 3 : 1;
@@ -188,136 +158,53 @@ int main(int Argc, char **Argv) {
   Contexts.reserve(Instances.size());
   for (const QuekoInstance &Inst : Instances)
     Contexts.push_back(RoutingContext::build(Inst.Circ, Backend));
-  // Warm the lazily memoized omega weights so both timed paths measure
+  // Warm the lazily memoized omega weights so the timed runs measure
   // routing, not first-touch context effects.
   for (const RoutingContext &Ctx : Contexts)
     Ctx.dependenceWeights();
 
-  auto Kernels = makeKernelMappers();
   std::vector<MapperRow> Rows;
-  bool AllIdentical = true;
+  bool AllValid = true;
 
-  // One scratch reused across every kernel run of every mapper — the
-  // deployment shape (BatchRunner gives each worker thread exactly one).
+  // One scratch reused across every run of every mapper — the deployment
+  // shape (BatchRunner gives each worker thread exactly one).
   RoutingScratch Scratch;
 
-  for (auto &[Key, Kernel] : Kernels) {
-    std::unique_ptr<Router> Reference = makeReferenceRouter(Key);
+  for (const auto &Kernel : makeKernelMappers()) {
     MapperRow Row;
     Row.Name = Kernel->name();
     for (size_t I = 0; I < Instances.size(); ++I) {
       const RoutingContext &Ctx = Contexts[I];
-
-      Timer RefClock;
-      RoutingResult RefResult = Reference->routeWithIdentity(Ctx);
-      Row.RefSeconds += RefClock.elapsedSeconds();
-
       Timer KernelClock;
-      RoutingResult KernelResult =
-          Kernel->routeWithIdentity(Ctx, Scratch);
+      RoutingResult Result = Kernel->routeWithIdentity(Ctx, Scratch);
       Row.KernelSeconds += KernelClock.elapsedSeconds();
-
-      std::string Why;
-      if (!resultsIdentical(RefResult, KernelResult, Why)) {
-        Row.Identical = false;
-        AllIdentical = false;
-        std::fprintf(stderr, "error: %s diverges on %s: %s\n",
-                     Row.Name.c_str(), Instances[I].Circ.name().c_str(),
-                     Why.c_str());
-      }
       if (Config.Verify) {
-        VerifyResult V =
-            verifyRouting(Ctx.circuit(), Ctx.hardware(), KernelResult);
+        VerifyResult V = verifyRouting(Ctx.circuit(), Ctx.hardware(), Result);
         if (!V.Ok) {
-          Row.Identical = false;
-          AllIdentical = false;
-          std::fprintf(stderr, "error: %s kernel routing invalid: %s\n",
-                       Row.Name.c_str(), V.Message.c_str());
+          AllValid = false;
+          std::fprintf(stderr, "error: %s routing of %s invalid: %s\n",
+                       Row.Name.c_str(), Instances[I].Circ.name().c_str(),
+                       V.Message.c_str());
         }
       }
-      Row.Swaps += KernelResult.NumSwaps;
-      Row.RoutedGates += KernelResult.Routed.size();
+      Row.Swaps += Result.NumSwaps;
+      Row.RoutedGates += Result.Routed.size();
     }
     Rows.push_back(std::move(Row));
   }
 
-  Table T({"Mapper", "Identical", "Swaps", "Ref s", "Kernel s", "Speedup",
-           "Swaps/s", "Gates/s"});
-  for (const MapperRow &Row : Rows) {
-    double Speedup =
-        Row.KernelSeconds > 0 ? Row.RefSeconds / Row.KernelSeconds : 0;
-    T.addRow({Row.Name, Row.Identical ? "yes" : "NO (BUG)",
-              formatString("%zu", Row.Swaps),
-              formatString("%.3f", Row.RefSeconds),
+  Table T({"Mapper", "Swaps", "Kernel s", "Swaps/s", "Gates/s"});
+  for (const MapperRow &Row : Rows)
+    T.addRow({Row.Name, formatString("%zu", Row.Swaps),
               formatString("%.3f", Row.KernelSeconds),
-              formatString("%.2fx", Speedup),
-              formatString("%.0f",
-                           static_cast<double>(Row.Swaps) /
-                               Row.KernelSeconds),
-              formatString("%.0f",
-                           static_cast<double>(Row.RoutedGates) /
-                               Row.KernelSeconds)});
-  }
+              formatString("%.0f", static_cast<double>(Row.Swaps) /
+                                       Row.KernelSeconds),
+              formatString("%.0f", static_cast<double>(Row.RoutedGates) /
+                                       Row.KernelSeconds)});
   std::fputs(T.render().c_str(), stdout);
-  std::printf("\nShape check: every row must say 'yes' and speedups "
-              "should be >= 1.5x (PR 3 acceptance bar).\n");
-
-  // --simd: scalar fallback vs. vectorized scoring lanes, same kernel,
-  // same scratch, interleaved timing. Byte-identity is the bar — the
-  // lanes must mirror the scalar formulas' exact operation order.
-  struct SimdRow {
-    std::string Name;
-    bool Identical = true;
-    double ScalarSeconds = 0;
-    double SimdSeconds = 0;
-  };
-  std::vector<SimdRow> SimdRows;
-  bool SimdIdentical = true;
-  if (Config.Simd) {
-    auto SimdMappers = makeKernelMappers();
-    for (auto &[Key, Mapper] : SimdMappers) {
-      (void)Key;
-      SimdRow Row;
-      Row.Name = Mapper->name();
-      for (size_t I = 0; I < Instances.size(); ++I) {
-        const RoutingContext &Ctx = Contexts[I];
-
-        simd::setEnabled(false);
-        Timer ScalarClock;
-        RoutingResult ScalarResult = Mapper->routeWithIdentity(Ctx, Scratch);
-        Row.ScalarSeconds += ScalarClock.elapsedSeconds();
-
-        simd::setEnabled(true);
-        Timer SimdClock;
-        RoutingResult SimdResult = Mapper->routeWithIdentity(Ctx, Scratch);
-        Row.SimdSeconds += SimdClock.elapsedSeconds();
-
-        std::string Why;
-        if (!resultsIdentical(ScalarResult, SimdResult, Why)) {
-          Row.Identical = false;
-          SimdIdentical = false;
-          AllIdentical = false;
-          std::fprintf(stderr, "error: %s SIMD diverges from scalar on %s: %s\n",
-                       Row.Name.c_str(), Instances[I].Circ.name().c_str(),
-                       Why.c_str());
-        }
-      }
-      SimdRows.push_back(std::move(Row));
-    }
-    simd::setEnabled(true);
-
-    Table S({"Mapper", "Identical", "Scalar s", "SIMD s", "Speedup"});
-    for (const SimdRow &Row : SimdRows)
-      S.addRow({Row.Name, Row.Identical ? "yes" : "NO (BUG)",
-                formatString("%.3f", Row.ScalarSeconds),
-                formatString("%.3f", Row.SimdSeconds),
-                formatString("%.2fx", Row.SimdSeconds > 0
-                                          ? Row.ScalarSeconds / Row.SimdSeconds
-                                          : 0)});
-    std::printf("\nSIMD scoring lanes (isa=%s, compiled=%s):\n",
-                simd::isa(), simd::compiled() ? "yes" : "no");
-    std::fputs(S.render().c_str(), stdout);
-  }
+  const char *VerifyStatus =
+      !Config.Verify ? "skipped" : (AllValid ? "passed" : "failed");
+  std::printf("verify: %s\n", VerifyStatus);
 
   // --affine: scalar vs. replay on a structured loop workload, same
   // context, same scratch, warm plan cache. Byte-identity is the bar.
@@ -356,7 +243,6 @@ int main(int Argc, char **Argv) {
       std::string Why;
       if (!resultsIdentical(ScalarResult, FastResult, Why)) {
         AffineIdentical = false;
-        AllIdentical = false;
         std::fprintf(stderr, "error: affine replay diverges on %s: %s\n",
                      AffineLoop.name().c_str(), Why.c_str());
       }
@@ -386,50 +272,23 @@ int main(int Argc, char **Argv) {
                  "  \"gen_device\": \"sycamore54\",\n"
                  "  \"backend\": \"sherbrooke\",\n"
                  "  \"instances\": %u,\n"
-                 "  \"all_identical\": %s,\n"
+                 "  \"verify\": \"%s\",\n"
                  "  \"mappers\": [\n",
-                 Depth, NumInstances, AllIdentical ? "true" : "false");
+                 Depth, NumInstances, VerifyStatus);
     for (size_t I = 0; I < Rows.size(); ++I) {
       const MapperRow &Row = Rows[I];
-      double Speedup =
-          Row.KernelSeconds > 0 ? Row.RefSeconds / Row.KernelSeconds : 0;
       std::fprintf(
           F,
-          "    { \"name\": \"%s\", \"identical\": %s, \"swaps\": %zu,\n"
-          "      \"routed_gates\": %zu, \"ref_seconds\": %.6f,\n"
-          "      \"kernel_seconds\": %.6f, \"speedup\": %.3f,\n"
+          "    { \"name\": \"%s\", \"swaps\": %zu, \"routed_gates\": %zu,\n"
+          "      \"kernel_seconds\": %.6f,\n"
           "      \"kernel_swaps_per_sec\": %.1f,\n"
           "      \"kernel_gates_per_sec\": %.1f }%s\n",
-          Row.Name.c_str(), Row.Identical ? "true" : "false", Row.Swaps,
-          Row.RoutedGates, Row.RefSeconds, Row.KernelSeconds, Speedup,
+          Row.Name.c_str(), Row.Swaps, Row.RoutedGates, Row.KernelSeconds,
           static_cast<double>(Row.Swaps) / Row.KernelSeconds,
           static_cast<double>(Row.RoutedGates) / Row.KernelSeconds,
           I + 1 < Rows.size() ? "," : "");
     }
-    std::fprintf(F, "  ]%s\n", Config.Simd || Config.Affine ? "," : "");
-    if (Config.Simd) {
-      std::fprintf(F,
-                   "  \"simd\": {\n"
-                   "    \"isa\": \"%s\",\n"
-                   "    \"compiled\": %s,\n"
-                   "    \"all_identical\": %s,\n"
-                   "    \"mappers\": [\n",
-                   simd::isa(), simd::compiled() ? "true" : "false",
-                   SimdIdentical ? "true" : "false");
-      for (size_t I = 0; I < SimdRows.size(); ++I) {
-        const SimdRow &Row = SimdRows[I];
-        std::fprintf(
-            F,
-            "      { \"name\": \"%s\", \"identical\": %s,\n"
-            "        \"scalar_seconds\": %.6f, \"simd_seconds\": %.6f,\n"
-            "        \"speedup\": %.3f }%s\n",
-            Row.Name.c_str(), Row.Identical ? "true" : "false",
-            Row.ScalarSeconds, Row.SimdSeconds,
-            Row.SimdSeconds > 0 ? Row.ScalarSeconds / Row.SimdSeconds : 0,
-            I + 1 < SimdRows.size() ? "," : "");
-      }
-      std::fprintf(F, "    ] }%s\n", Config.Affine ? "," : "");
-    }
+    std::fprintf(F, "  ]%s\n", Config.Affine ? "," : "");
     if (Config.Affine) {
       std::fprintf(
           F,
@@ -455,5 +314,5 @@ int main(int Argc, char **Argv) {
     std::printf("wrote BENCH_kernel.json\n");
   }
 
-  return AllIdentical ? 0 : 1;
+  return AllValid && AffineIdentical ? 0 : 1;
 }

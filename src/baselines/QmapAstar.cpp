@@ -29,10 +29,9 @@ using namespace qlosure;
 namespace {
 
 /// Heap order over packed (f, g) keys: lower f on top; among equal f,
-/// deeper nodes (higher g) first — the reference NodeCompare's order,
-/// induced by key = (f << 32) | (2^32 - 1 - g) so one integer compare
-/// replaces two node loads per sift step. Equal (f, g) pairs compare
-/// equivalent under both, so push_heap/pop_heap permute identically.
+/// deeper nodes (higher g) first. The key (f << 32) | (2^32 - 1 - g)
+/// turns that two-field order into one integer compare, replacing two
+/// node loads per sift step.
 inline uint64_t heapKey(uint32_t F, uint32_t G) {
   return (static_cast<uint64_t>(F) << 32) | (0xFFFFFFFFu - G);
 }

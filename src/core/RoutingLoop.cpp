@@ -11,9 +11,8 @@
 // is a reused flat buffer. Only the gates hosted on the two swapped qubits
 // contribute per-candidate term deltas (delta rescoring against the cached
 // per-layer base sums); Eq. 2 is then evaluated element-wise over SoA
-// candidate lanes (core/SimdScore.h — SIMD when enabled, bit-identical
-// scalar fallback otherwise). The decision sequence is byte-identical to
-// the pre-scratch implementation (bench_kernel_throughput asserts this).
+// candidate lanes. The decision sequence is pinned by the golden digests
+// of tests/KernelGoldenTest.cpp.
 //
 // Replay hooks: every observable emission (program gate, SWAP, tie-break
 // decision, look-ahead window) passes through the attached ReplayDriver
@@ -24,7 +23,6 @@
 #include "core/RoutingLoop.h"
 
 #include "circuit/Dag.h"
-#include "core/SimdScore.h"
 #include "route/ReplayPlan.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -366,10 +364,8 @@ void RoutingLoop::generateCandidates() {
 /// the gates hosted on the swapped qubits contribute term deltas (delta
 /// rescoring against the cached per-layer base sums); the deltas land in
 /// layer-major SoA lanes and the layer combine + decay multiply then run
-/// element-wise across candidates (SIMD when enabled — bit-identical to
-/// the per-candidate scalar evaluation: each lane performs the same
-/// operation sequence, and a gate on both swapped qubits has an exactly
-/// zero delta, so skipping it never changes a bit).
+/// element-wise across candidates (a gate on both swapped qubits has an
+/// exactly zero delta, so skipping it never changes a bit).
 void RoutingLoop::scoreCandidates() {
   const size_t NumCand = S.Candidates.size();
   const size_t NumLayers = S.LayerBaseSum.size();
@@ -401,15 +397,21 @@ void RoutingLoop::scoreCandidates() {
     S.LaneDecay[CI] = std::max(D1, D2);
   }
 
+  // Eq. 2, layer by layer in ascending order: the 1/l dependence-distance
+  // discount and the per-layer gate-count normalization.
   S.Scores.assign(NumCand, 0.0);
   for (size_t L = 1; L < NumLayers; ++L) {
     if (S.LayerGateCount[L] == 0)
       continue;
-    simd::qlosureLayerAccum(S.Scores.data(), S.LaneAdjust.data() + L * NumCand,
-                            S.LayerBaseSum[L], static_cast<double>(L),
-                            static_cast<double>(S.LayerGateCount[L]), NumCand);
+    const double *Adj = S.LaneAdjust.data() + L * NumCand;
+    const double Base = S.LayerBaseSum[L];
+    const double Layer = static_cast<double>(L);
+    const double Count = static_cast<double>(S.LayerGateCount[L]);
+    for (size_t CI = 0; CI < NumCand; ++CI)
+      S.Scores[CI] += ((Base + Adj[CI]) / Layer) / Count;
   }
-  simd::applyDecayLanes(S.Scores.data(), S.LaneDecay.data(), NumCand);
+  for (size_t CI = 0; CI < NumCand; ++CI)
+    S.Scores[CI] = S.LaneDecay[CI] * S.Scores[CI];
 }
 
 bool RoutingLoop::replayEmitGate(uint32_t GateId) {

@@ -323,11 +323,39 @@ private:
 
   std::unique_ptr<Expr> parseExpr() { return parseAdditive(); }
 
+  /// Expression depth bound. Parentheses, function arguments, unary minus
+  /// and '^' recurse through parseUnary, and every '+', '-', '*', '/' in a
+  /// chain deepens the left-leaning tree; the AST's evaluation and
+  /// destruction recurse just as deep. Past MaxExprDepth levels the
+  /// expression is rejected with a parse error instead of overflowing the
+  /// stack.
+  static constexpr unsigned MaxExprDepth = 256;
+
+  /// Restores ExprDepth when the parse function that entered levels
+  /// returns.
+  struct DepthScope {
+    unsigned &Depth;
+    unsigned Saved;
+    explicit DepthScope(unsigned &Depth) : Depth(Depth), Saved(Depth) {}
+    ~DepthScope() { Depth = Saved; }
+  };
+
+  /// Enters one more expression level; false past MaxExprDepth.
+  bool deeper() {
+    if (ExprDepth == MaxExprDepth)
+      return error(peek(), "expression nested too deeply");
+    ++ExprDepth;
+    return true;
+  }
+
   std::unique_ptr<Expr> parseAdditive() {
+    DepthScope Scope(ExprDepth);
     auto Lhs = parseMultiplicative();
     if (!Lhs)
       return nullptr;
     while (peek().is(TokenKind::Plus) || peek().is(TokenKind::Minus)) {
+      if (!deeper())
+        return nullptr;
       std::string Op = advance().Text;
       auto Rhs = parseMultiplicative();
       if (!Rhs)
@@ -343,10 +371,13 @@ private:
   }
 
   std::unique_ptr<Expr> parseMultiplicative() {
+    DepthScope Scope(ExprDepth);
     auto Lhs = parseUnary();
     if (!Lhs)
       return nullptr;
     while (peek().is(TokenKind::Star) || peek().is(TokenKind::Slash)) {
+      if (!deeper())
+        return nullptr;
       std::string Op = advance().Text;
       auto Rhs = parseUnary();
       if (!Rhs)
@@ -364,6 +395,9 @@ private:
   // Unary minus binds looser than '^' (so "-2^2" is -(2^2)), matching the
   // usual mathematical convention.
   std::unique_ptr<Expr> parseUnary() {
+    DepthScope Scope(ExprDepth);
+    if (!deeper())
+      return nullptr;
     if (peek().is(TokenKind::Minus)) {
       advance();
       auto Sub = parseUnary();
@@ -452,6 +486,7 @@ private:
   std::vector<Token> Tokens;
   size_t Pos = 0;
   std::string ErrorMessage;
+  unsigned ExprDepth = 0;
 };
 
 } // namespace

@@ -256,7 +256,7 @@ public:
   std::vector<unsigned> GreedyBaseDists;
 
   //===--------------------------------------------------------------------===//
-  // SoA score lanes (core/SimdScore.h kernels; one entry per candidate)
+  // SoA score lanes (one entry per candidate)
   //===--------------------------------------------------------------------===//
 
   /// Per-candidate formula terms, filled by integer delta-accumulation

@@ -156,6 +156,38 @@ TEST(ParserTest, RejectsClassicalControl) {
   EXPECT_FALSE(R.succeeded());
 }
 
+// Parentheses, unary minus and '^' recurse, and operator chains build
+// equally deep trees; hostile nesting must end in a positioned parse
+// error, not a stack overflow.
+TEST(ParserTest, DeepNestingFailsCleanly) {
+  auto chain = [](const char *Link, int Count) {
+    std::string Text = "2";
+    for (int I = 0; I < Count; ++I)
+      Text += Link;
+    return Text;
+  };
+  const std::string Deep[] = {
+      std::string(20000, '(') + "1" + std::string(20000, ')'),
+      std::string(200000, '-') + "1",
+      chain("^2", 20000),
+      chain("+2", 200000),
+      chain("*2", 200000),
+  };
+  for (const std::string &Expr : Deep) {
+    auto R = parseQasm("OPENQASM 2.0;\nqreg q[1];\nrz(" + Expr + ") q[0];\n");
+    ASSERT_FALSE(R.succeeded()) << Expr.substr(0, 16);
+    EXPECT_EQ(R.Error.rfind("line 3, column ", 0), 0u) << R.Error;
+    EXPECT_NE(R.Error.find("nested too deeply"), std::string::npos)
+        << R.Error;
+  }
+}
+
+TEST(ParserTest, ModerateNestingStillParses) {
+  auto R = parseQasm("qreg q[1]; rz(" + std::string(100, '(') + "-pi/2" +
+                     std::string(100, ')') + "^--2) q[0];");
+  ASSERT_TRUE(R.succeeded()) << R.Error;
+}
+
 //===----------------------------------------------------------------------===//
 // Importer
 //===----------------------------------------------------------------------===//

@@ -858,6 +858,26 @@ TEST_P(ServerTransportTest, MalformedRequestsGetStructuredErrorsAndConnectionSur
   EXPECT_EQ(errorCode(parseResponse(Response)), errc::TooLarge);
 }
 
+TEST(ServerTest, DeeplyNestedQasmGetsBadQasmAndDaemonKeepsServing) {
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+
+  std::string Hostile = "OPENQASM 2.0;\nqreg q[1];\nrz(" +
+                        std::string(20000, '(') + "1" +
+                        std::string(20000, ')') + ") q[0];\n";
+  std::string Response;
+  ASSERT_TRUE(Conn.request(routeRequest(Hostile).dump(), Response).ok());
+  json::Value Doc = parseResponse(Response);
+  EXPECT_FALSE(responseOk(Doc)) << Response;
+  EXPECT_EQ(errorCode(Doc), errc::BadQasm) << Response;
+
+  ASSERT_TRUE(
+      Conn.request(routeRequest(sampleQasm()).dump(), Response).ok());
+  json::Value Routed = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Routed)) << Response;
+  EXPECT_TRUE(Routed.get("stats")->get("verified")->asBool());
+}
+
 TEST_P(ServerTransportTest, AbsurdTimeoutIsClampedNotWrapped) {
   // Regression: a huge timeout_ms used to overflow the chrono deadline
   // arithmetic, wrapping it into the past and answering a *longer*
