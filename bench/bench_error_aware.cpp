@@ -9,8 +9,9 @@
 /// paper's conclusion sketches ("customized qubit-state and error-aware
 /// mapping heuristics"). A synthetic calibration (log-uniform two-qubit
 /// error rates) is installed on Sherbrooke and Ankaa-3; Qlosure routes
-/// each workload with the hop-count metric and with the fidelity-weighted
-/// metric, and we compare SWAPs, depth and expected success probability.
+/// each workload plain and error-aware (equally scored SWAP candidates
+/// break toward the least noisy coupler), and we compare SWAPs, depth and
+/// expected success probability.
 /// Expected shape: error-aware routing trades a few extra SWAPs for a
 /// higher success probability.
 ///
@@ -58,8 +59,8 @@ int main(int Argc, char **Argv) {
                 BackendName);
     Table T({"Circuit", "Mode", "SWAPs", "Depth", "Success prob"});
     for (auto &[Name, Circ] : Workloads) {
-      // Both modes share one context (the calibrated graph already
-      // carries hop and fidelity-weighted distance matrices).
+      // Both modes share one context: error-aware mode reads only the
+      // calibrated graph's edge-error table.
       RoutingContext Ctx = RoutingContext::build(Circ, Hw);
       for (bool ErrorAware : {false, true}) {
         QlosureOptions Opts;

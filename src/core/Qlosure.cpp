@@ -37,9 +37,6 @@ std::string QlosureRouter::name() const {
 RoutingContextOptions QlosureRouter::contextOptions() const {
   RoutingContextOptions CtxOptions;
   CtxOptions.Weights = Options.Weights;
-  // Error-aware mode reads only per-edge error rates for tie-breaking
-  // (see RoutingLoop::routeOneSwap); it never consults the weighted
-  // distance matrix, so RequireWeightedDistances stays off.
   return CtxOptions;
 }
 

@@ -55,10 +55,10 @@ struct QlosureOptions {
   /// omega computation engine (Auto = affine beyond a size threshold).
   WeightOptions Weights;
 
-  /// Error-aware extension (the paper's future work): score look-ahead
-  /// distances with the fidelity-weighted metric so SWAP traffic avoids
-  /// noisy couplers. Requires an error model + weighted distances on the
-  /// coupling graph (see applySyntheticErrorModel).
+  /// Error-aware extension (the paper's future work): among equally
+  /// scored SWAP candidates, prefer the one on the least noisy coupler.
+  /// Requires an edge-error model on the coupling graph (see
+  /// applySyntheticErrorModel).
   bool ErrorAware = false;
 
   /// Affine fast path: when the context's period detector finds loop

@@ -46,9 +46,10 @@ RoutingLoop::RoutingLoop(const QlosureOptions &Options,
   S.Decay.assign(Logical.numQubits(), 1.0);
   LookaheadC = Options.LookaheadConstant ? Options.LookaheadConstant
                                          : Ctx.defaultLookahead();
-  UseWeightedDistance = Options.ErrorAware && Hw.hasErrorModel();
+  BreakTiesOnError = Options.ErrorAware && Hw.hasErrorModel();
+  // Memoized in the context; the first reader computes (and traces) it.
   if (Options.UseDependencyWeights)
-    Weights = &Ctx.dependenceWeights(); // Memoized in the context.
+    Weights = &Ctx.dependenceWeights(S.TraceSink);
   // TouchingGates persists across route() calls; start from a clean
   // slate in case the previous user left entries behind.
   S.clearTouchingGates();
@@ -177,7 +178,7 @@ void RoutingLoop::routeOneSwap() {
   for (size_t CI = 0; CI < S.Candidates.size(); ++CI)
     if (S.Scores[CI] <= BestScore + TieMargin + 1e-12)
       S.BestIdx.push_back(CI);
-  if (UseWeightedDistance && S.BestIdx.size() > 1) {
+  if (BreakTiesOnError && S.BestIdx.size() > 1) {
     double MinError = std::numeric_limits<double>::infinity();
     for (size_t CI : S.BestIdx)
       MinError = std::min(MinError, Hw.edgeError(S.Candidates[CI].first,

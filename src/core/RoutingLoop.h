@@ -98,7 +98,7 @@ private:
   ReplayDriver *Replay = nullptr;
   unsigned LookaheadC = 0;
   unsigned SwapsSinceProgress = 0;
-  bool UseWeightedDistance = false;
+  bool BreakTiesOnError = false;
 
   RoutingResult Result;
 };

@@ -9,12 +9,31 @@
 #include "qasm/Parser.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <map>
+#include <unordered_map>
 
 using namespace qlosure;
 using namespace qlosure::qasm;
 
 namespace {
+
+// Import budget. QASM reaching the daemon is untrusted: a 60-byte program
+// can declare billions of qubits, and a 1 KB one can nest gate
+// definitions that expand to 2^40 gates. Both caps sit far above what any
+// in-repo generator emits (at most 256 qubits and ~84k gates: QUEKO at
+// depth 900 on the 256-qubit devices).
+
+/// 256x the largest device in topology/Backends; also keeps every flat
+/// qubit index well inside the IR's int32 operands.
+constexpr unsigned MaxImportQubits = 1u << 16;
+
+/// ~50x the largest generated circuit, ~160 MB of gate IR.
+constexpr uint64_t MaxImportGates = 1ull << 22;
+
+/// Deepest user-gate nesting lowering follows (recursive definitions
+/// would otherwise never end).
+constexpr unsigned MaxGateNesting = 64;
 
 /// A builtin (qelib1) gate descriptor.
 struct BuiltinGate {
@@ -56,6 +75,11 @@ public:
         if (Stmt.Reg.IsQuantum) {
           if (QregBase.count(Stmt.Reg.Name))
             return fail("duplicate qreg '" + Stmt.Reg.Name + "'");
+          if (Stmt.Reg.Size > MaxImportQubits - NextQubit) {
+            OverBudget = true;
+            return fail(formatString("program declares more than %u qubits",
+                                     MaxImportQubits));
+          }
           QregBase[Stmt.Reg.Name] = NextQubit;
           QregSize[Stmt.Reg.Name] = Stmt.Reg.Size;
           NextQubit += Stmt.Reg.Size;
@@ -87,7 +111,8 @@ public:
         if (!Qubits)
           return fail(ErrorMessage);
         for (int32_t Q : *Qubits)
-          Circ.addGate(Gate(GateKind::Measure, Q));
+          if (!addGate(Circ, Gate(GateKind::Measure, Q)))
+            return fail(ErrorMessage);
         break;
       }
       case Statement::Kind::Barrier: {
@@ -96,7 +121,8 @@ public:
           if (!Qubits)
             return fail(ErrorMessage);
           for (int32_t Q : *Qubits)
-            Circ.addGate(Gate(GateKind::Barrier, Q));
+            if (!addGate(Circ, Gate(GateKind::Barrier, Q)))
+              return fail(ErrorMessage);
         }
         break;
       }
@@ -117,6 +143,7 @@ private:
   ImportResult fail(const std::string &Message) {
     ImportResult Result;
     Result.Error = Message;
+    Result.OverBudget = OverBudget;
     return Result;
   }
 
@@ -124,6 +151,44 @@ private:
     if (ErrorMessage.empty())
       ErrorMessage = Message;
     return false;
+  }
+
+  bool gateBudgetExceeded() {
+    OverBudget = true;
+    return setError(formatString("program expands to more than %llu gates",
+                                 static_cast<unsigned long long>(
+                                     MaxImportGates)));
+  }
+
+  /// Appends \p G, charging it to the gate budget.
+  bool addGate(Circuit &Circ, const Gate &G) {
+    if (Emitted >= MaxImportGates)
+      return gateBudgetExceeded();
+    ++Emitted;
+    Circ.addGate(G);
+    return true;
+  }
+
+  /// Builtin gates one call of \p Def at nesting \p Depth expands to,
+  /// saturated at MaxImportGates + 1 and memoized per definition, so a
+  /// call whose expansion cannot fit the budget fails before emitting
+  /// anything. Recursion and nesting past lowering's depth limit count 0:
+  /// lowering rejects both, and an undercount only delays the rejection
+  /// to the gate counter in addGate.
+  uint64_t expandedSize(const GateDef &Def, unsigned Depth) {
+    if (Depth > MaxGateNesting)
+      return 0;
+    auto [It, Fresh] = Sizes.try_emplace(&Def, 0);
+    if (!Fresh)
+      return It->second;
+    uint64_t Total = 0;
+    for (const GateCall &Call : Def.Body) {
+      auto UI = UserGates.find(Call.Name);
+      uint64_t Size =
+          UI == UserGates.end() ? 1 : expandedSize(*UI->second, Depth + 1);
+      Total = std::min(Total + Size, MaxImportGates + 1);
+    }
+    return Sizes[&Def] = Total;
   }
 
   /// Resolves a top-level argument to flat qubit indices (1 for q[i],
@@ -158,7 +223,7 @@ private:
                  const std::map<std::string, int32_t> &FormalQubits,
                  const std::map<std::string, double> &ParamValues,
                  unsigned Depth = 0) {
-    if (Depth > 64)
+    if (Depth > MaxGateNesting)
       return setError("user gate expansion too deep (recursive definition?)");
 
     // Evaluate parameters once.
@@ -238,8 +303,7 @@ private:
             return setError(formatString(
                 "line %u: repeated qubit operand in '%s'", Call.Line,
                 Call.Name.c_str()));
-      Circ.addGate(G);
-      return true;
+      return addGate(Circ, G);
     }
 
     auto UI = UserGates.find(Call.Name);
@@ -255,6 +319,8 @@ private:
       return setError(formatString(
           "line %u: '%s' expects %zu parameters, got %zu", Call.Line,
           Call.Name.c_str(), Def.ParamNames.size(), Params.size()));
+    if (expandedSize(Def, Depth) > MaxImportGates - Emitted)
+      return gateBudgetExceeded();
 
     std::map<std::string, int32_t> BodyQubits;
     for (size_t I = 0; I < Operands.size(); ++I)
@@ -273,7 +339,10 @@ private:
   std::map<std::string, unsigned> QregBase;
   std::map<std::string, unsigned> QregSize;
   std::map<std::string, const GateDef *> UserGates;
+  std::unordered_map<const GateDef *, uint64_t> Sizes;
+  uint64_t Emitted = 0;
   std::string ErrorMessage;
+  bool OverBudget = false;
 };
 
 } // namespace

@@ -8,7 +8,10 @@
 /// Lowers a parsed OpenQASM 2.0 program to the flat Circuit IR: flattens
 /// quantum registers into one index space, resolves the qelib1 builtin
 /// gates, inlines user-defined gates recursively, applies whole-register
-/// broadcasting, and evaluates parameter expressions.
+/// broadcasting, and evaluates parameter expressions. Imports are bounded:
+/// a program that declares or expands to more than a fixed budget of
+/// qubits or gates fails with ImportResult::OverBudget before it can
+/// exhaust memory or time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +31,9 @@ namespace qasm {
 struct ImportResult {
   std::optional<Circuit> Circ;
   std::string Error;
+  /// The program is well formed but exceeds the import budget (declared
+  /// qubits or emitted gates, see Importer.cpp); Error says which.
+  bool OverBudget = false;
 
   bool succeeded() const { return Circ.has_value(); }
 };

@@ -55,16 +55,13 @@ RoutingContext RoutingContext::build(const Circuit &Logical,
     }
   }
 
-  // Distance matrices: reference the caller's graph when it is already
-  // complete; otherwise derive the missing matrices once on a private
-  // copy. Either way no later route() call recomputes them.
-  bool NeedWeighted = Options.RequireWeightedDistances && Hw.hasErrorModel();
-  if (!Hw.hasDistances() || (NeedWeighted && !Hw.hasWeightedDistances())) {
+  // Distance matrix: reference the caller's graph when it already has
+  // one; otherwise derive it once on a private copy. Either way no later
+  // route() call recomputes it.
+  if (!Hw.hasDistances()) {
     ScopedSpan Span(T, "ctx_distances");
     Ctx.OwnedHw = std::make_unique<CouplingGraph>(Hw);
     Ctx.OwnedHw->computeDistances();
-    if (NeedWeighted)
-      Ctx.OwnedHw->computeWeightedDistances();
     Ctx.Hw = Ctx.OwnedHw.get();
   }
 
@@ -76,8 +73,10 @@ RoutingContext RoutingContext::build(const Circuit &Logical,
   return Ctx;
 }
 
-const std::vector<uint64_t> &RoutingContext::dependenceWeights() const {
-  std::call_once(Lazy->WeightsOnce, [this] {
+const std::vector<uint64_t> &
+RoutingContext::dependenceWeights(Trace *T) const {
+  std::call_once(Lazy->WeightsOnce, [this, T] {
+    ScopedSpan Span(T, "ctx_weights");
     Lazy->Weights = computeDependenceWeights(*Logical, Options.Weights);
   });
   return Lazy->Weights.Weights;

@@ -15,14 +15,19 @@
 /// that keeps batch sweeps and repeated routings of the same circuit from
 /// paying the O(V^2) precomputation cost per call.
 ///
+/// The context is the one place that decides what gets computed, and it
+/// computes only what a mapper reads: build() derives the DAG (and the
+/// distance matrices when the graph arrives without them); omega, the
+/// period structure and the replay-plan store are computed on first read.
+///
 /// Threading/ownership contract: after build() returns, every accessor
-/// is safe to call concurrently from any number of threads; nothing here
-/// is ever mutated again (share by const reference). The one lazily
-/// computed member (dependenceWeights) is guarded by std::call_once, so
-/// mappers that never read omega never pay for it and concurrent first
-/// readers race safely. The context *references* the circuit and graph
-/// it was built from — the caller keeps both alive for the context's
-/// lifetime (service/ContextCache bundles copies for exactly this
+/// is safe to call concurrently from any number of threads; nothing
+/// observable is ever mutated again (share by const reference). The
+/// lazily computed members are guarded by std::call_once, so mappers that
+/// never read omega never pay for it and concurrent first readers race
+/// safely. The context *references* the circuit and graph it was built
+/// from — the caller keeps both alive for the context's lifetime
+/// (service/ContextCache shares ownership of both for exactly this
 /// reason).
 ///
 //===----------------------------------------------------------------------===//
@@ -51,10 +56,6 @@ class Trace;
 struct RoutingContextOptions {
   /// omega engine used when a mapper asks for dependenceWeights().
   WeightOptions Weights;
-
-  /// Eagerly materialize the fidelity-weighted distance matrix (required
-  /// by error-aware mappers when the graph carries an error model).
-  bool RequireWeightedDistances = false;
 };
 
 /// Immutable per-(circuit, backend) routing state. Movable, not copyable;
@@ -101,8 +102,10 @@ public:
 
   /// Transitive-dependence weights omega, one per gate, computed on first
   /// use with the options the context was built with and memoized for
-  /// every later reader (any mapper, any thread).
-  const std::vector<uint64_t> &dependenceWeights() const;
+  /// every later reader (any mapper, any thread). The call that computes
+  /// them records a ctx_weights span into \p T when one is supplied;
+  /// readers of the memoized weights record nothing.
+  const std::vector<uint64_t> &dependenceWeights(Trace *T = nullptr) const;
 
   /// Engine metadata of the memoized omega computation (valid only after
   /// the first dependenceWeights() call).

@@ -9,10 +9,11 @@
 /// LRU cache with a byte budget, instantiated twice —
 ///
 ///  * ContextCache maps (circuit fingerprint, backend fingerprint, context
-///    config fingerprint) to a shared CachedContext bundle that owns the
-///    circuit, the coupling graph, and the fully built RoutingContext
-///    (distances, DAG, eagerly warmed omega weights). A warm request skips
-///    the entire per-(circuit, backend) precomputation the paper's
+///    config fingerprint) to a shared CachedContext bundle: shared
+///    ownership of the circuit and the pooled coupling graph, and the
+///    RoutingContext built over them (DAG, plus omega once a mapper that
+///    reads it has routed over the entry). A warm request skips the
+///    entire per-(circuit, backend) precomputation the paper's
 ///    abstraction made cheap and this cache makes free.
 ///
 ///  * ResultCache maps (context key + mapper/placement config) to a shared
@@ -232,32 +233,29 @@ private:
   std::vector<Shard> TheShards;
 };
 
-/// A cached (circuit, backend) precomputation bundle. Owns copies of the
-/// circuit and graph so the RoutingContext's references stay valid for the
-/// entry's whole lifetime, independent of the request that built it.
+/// A cached (circuit, backend) precomputation bundle. Shares ownership of
+/// the circuit and graph so the RoutingContext's references stay valid for
+/// the entry's whole lifetime, independent of the request that built it.
 class CachedContext {
 public:
-  /// Builds a bundle over copies of \p Circ and \p Hw. The context's
-  /// omega weights are computed eagerly when \p WarmWeights is set and the
-  /// context is valid — a cached context will be routed with, so first-use
-  /// laziness only moves the cost into the first request's latency.
-  /// \p T, when non-null, receives the construction-phase spans
-  /// (ctx_distances, ctx_dag, ctx_weights) of a traced cold build.
+  /// Builds a bundle over \p Circ and \p Hw. Only the eager context
+  /// phases run here; omega is computed by the first mapper that reads it
+  /// (RoutingContext::dependenceWeights). \p T, when non-null, receives
+  /// the construction-phase spans (ctx_distances, ctx_dag) of a traced
+  /// cold build.
   static std::shared_ptr<const CachedContext>
-  build(const Circuit &Circ, const CouplingGraph &Hw,
-        const RoutingContextOptions &Options, bool WarmWeights = true,
-        Trace *T = nullptr);
+  build(std::shared_ptr<const Circuit> Circ,
+        std::shared_ptr<const CouplingGraph> Hw,
+        const RoutingContextOptions &Options, Trace *T = nullptr);
 
   const RoutingContext &context() const { return *Ctx; }
-  const Circuit &circuit() const { return Circ; }
-  const CouplingGraph &hardware() const { return Hw; }
   size_t approxBytes() const { return Bytes; }
 
 private:
   CachedContext() = default;
 
-  Circuit Circ;
-  CouplingGraph Hw;
+  std::shared_ptr<const Circuit> Circ;
+  std::shared_ptr<const CouplingGraph> Hw;
   std::optional<RoutingContext> Ctx;
   size_t Bytes = 0;
 };

@@ -657,7 +657,7 @@ Server::lookupBackend(const std::string &Name, bool ErrorAware,
 }
 
 Server::RouteOutcome
-Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
+Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
                      const std::shared_ptr<const PooledBackend> &Backend,
                      const RouteRequest &Params, uint64_t CircuitFp,
                      const CacheKey &ResultKey, RoutingScratch &Scratch,
@@ -675,11 +675,16 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
                       fingerprint(CtxOptions)};
   const auto CtxStart = Trace::Clock::now();
   int CtxSpan = T ? T->begin("context_build") : -1;
+  // The entry keeps its circuit for as long as it is cached, so it gets a
+  // copy made here on the worker. The request's own circuit was allocated
+  // on the connection thread: parking long-lived blocks in the heap that
+  // thread allocates from made every later QASM import on it ~25% slower
+  // (perfbench warm-hits p50).
   auto Bundle = Contexts.getOrBuild(
       ContextKey,
       [&] {
-        return CachedContext::build(*Logical, *Backend->Graph, CtxOptions,
-                                    /*WarmWeights=*/true, T);
+        return CachedContext::build(std::make_shared<const Circuit>(*Logical),
+                                    Backend->Graph, CtxOptions, T);
       },
       &Out.ContextHit);
   if (T)
@@ -691,6 +696,11 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
     Out.ErrorMessage = Ctx.status().message();
     return Out;
   }
+  // The sink rides the pooled scratch through the virtual route() calls,
+  // the bidirectional derive's included, so whichever pass first reads
+  // omega records its ctx_weights span. It is cleared before the scratch
+  // returns to the pool.
+  Scratch.TraceSink = T;
   const auto InitStart = Trace::Clock::now();
   int InitSpan = T ? T->begin("initial_mapping") : -1;
   QubitMapping Initial =
@@ -701,6 +711,7 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
     T->end(InitSpan);
   Histos.InitialMapping.recordNs(spanNs(InitStart, Trace::Clock::now()));
   if (Cancel.cancelled()) {
+    Scratch.TraceSink = nullptr;
     Out.Cancelled = true;
     return Out;
   }
@@ -708,9 +719,6 @@ Server::executeRoute(const std::shared_ptr<Circuit> &Logical,
     BeforeRoute();
   const auto RouteStart = Trace::Clock::now();
   int RouteSpan = T ? T->begin("routing_loop") : -1;
-  // The sink rides the pooled scratch through the virtual route() call;
-  // restore it before the scratch returns to the pool.
-  Scratch.TraceSink = T;
   RoutingResult Result = Mapper->route(Ctx, Initial, Scratch, &Cancel);
   Scratch.TraceSink = nullptr;
   if (T)
@@ -858,7 +866,7 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
   // Candidates are resolved only after admission.
   struct CoalesceCandidate {
     size_t Index;
-    std::shared_ptr<Circuit> Logical;
+    std::shared_ptr<const Circuit> Logical;
     uint64_t CircuitFp;
     CacheKey ResultKey;
     std::shared_ptr<JobTicket> Ticket;
@@ -874,10 +882,14 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
     qasm::ImportResult Imported =
         qasm::importQasm(Req.Items[I].Qasm, "request");
     if (!Imported.succeeded()) {
-      Inline.push_back({I, nullptr, errc::BadQasm, Imported.Error});
+      if (T)
+        T->end(ImportSpan);
+      Inline.push_back({I, nullptr,
+                        Imported.OverBudget ? errc::TooLarge : errc::BadQasm,
+                        Imported.Error});
       continue;
     }
-    auto Logical = std::make_shared<Circuit>(
+    auto Logical = std::make_shared<const Circuit>(
         Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
     if (T)
       T->end(ImportSpan);
@@ -1013,7 +1025,7 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
 
 SchedulerJob Server::makeLeaderJob(
     const std::shared_ptr<Session> &S, size_t I,
-    std::shared_ptr<Circuit> Logical,
+    std::shared_ptr<const Circuit> Logical,
     std::shared_ptr<const PooledBackend> Backend, uint64_t CircuitFp,
     const CacheKey &ResultKey,
     std::chrono::steady_clock::time_point Deadline) {

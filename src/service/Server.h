@@ -274,7 +274,7 @@ private:
   /// terminal path completes the flight (delivering any followers) before
   /// replying through the session.
   SchedulerJob makeLeaderJob(const std::shared_ptr<Session> &S, size_t I,
-                             std::shared_ptr<Circuit> Logical,
+                             std::shared_ptr<const Circuit> Logical,
                              std::shared_ptr<const PooledBackend> Backend,
                              uint64_t CircuitFp, const CacheKey &ResultKey,
                              std::chrono::steady_clock::time_point Deadline);
@@ -285,9 +285,10 @@ private:
   /// `route` uses to install its progress sink.
   /// \p T, when non-null, receives the per-phase spans of this request
   /// (context_build, initial_mapping, routing_loop, verify, print_qasm)
-  /// and is installed as the scratch's trace sink around the mapper call.
+  /// and is installed as the scratch's trace sink around the mapper calls
+  /// (the bidirectional derive's too).
   /// Phase latencies are recorded into Histos regardless of tracing.
-  RouteOutcome executeRoute(const std::shared_ptr<Circuit> &Logical,
+  RouteOutcome executeRoute(const std::shared_ptr<const Circuit> &Logical,
                             const std::shared_ptr<const PooledBackend> &Backend,
                             const RouteRequest &Params, uint64_t CircuitFp,
                             const CacheKey &ResultKey, RoutingScratch &Scratch,

@@ -176,6 +176,12 @@ struct RouterServer::Connection {
     std::string Line;
     uint64_t Key = 0;
     unsigned Attempts = 0;
+    /// Times the request was re-sent after its shard died mid-request.
+    /// One re-dispatch survives a shard crash; a request whose second
+    /// shard dies too is answered `unavailable`, so a poison request
+    /// cannot take down shard after shard.
+    unsigned Redispatches = 0;
+    static constexpr unsigned MaxRedispatches = 1;
     /// Router-side trace state. TraceId non-empty marks a traced
     /// request; Arrival anchors every router span and is set for all
     /// tracked requests (it feeds the forward-latency histogram too).
@@ -557,6 +563,7 @@ void RouterServer::onShardFinal(const std::shared_ptr<Connection> &Conn,
     uint64_t Key = 0;
     std::string ReqLine;
     unsigned Attempts = 0;
+    unsigned Redispatches = 0;
     {
       std::lock_guard<std::mutex> Lock(Conn->Mu);
       auto It = Conn->InFlight.find(Id);
@@ -572,6 +579,7 @@ void RouterServer::onShardFinal(const std::shared_ptr<Connection> &Conn,
           Key = It->second.Key;
           ReqLine = It->second.Line;
           Attempts = It->second.Attempts;
+          Redispatches = It->second.Redispatches;
         } else {
           Finished = true;
           Entry = std::move(It->second);
@@ -601,6 +609,7 @@ void RouterServer::onShardFinal(const std::shared_ptr<Connection> &Conn,
         R.Id = Id;
         R.Line = std::move(ReqLine);
         R.Attempts = Attempts;
+        R.Redispatches = Redispatches;
         RetryQueue.push_back(std::move(R));
       }
       RetryCv.notify_all();
@@ -708,13 +717,25 @@ void RouterServer::onUpstreamDown(const std::shared_ptr<Connection> &Conn,
                                    "shard connection lost mid-request"));
   }
   for (auto &[Id, Entry] : Orphans) {
+    if (Entry.Redispatches >= Connection::Tracked::MaxRedispatches) {
+      {
+        std::lock_guard<std::mutex> Lock(CounterMu);
+        ++Counters.Unavailable;
+        ++Counters.Errors;
+      }
+      Conn->send(formatErrorResponse(
+          Entry.OpName.c_str(), Id, errc::Unavailable,
+          "shard connection lost mid-request on the re-dispatch too"));
+      continue;
+    }
     {
       std::lock_guard<std::mutex> Lock(CounterMu);
       ++Counters.Redispatched;
     }
     // Safe to re-run elsewhere: routing is deterministic and
     // side-effect-free, and the dead shard can no longer answer.
-    dispatch(Conn, Entry.Key, Entry.OpName, Id, Entry.Line, Entry.Attempts);
+    dispatch(Conn, Entry.Key, Entry.OpName, Id, Entry.Line, Entry.Attempts,
+             Entry.Redispatches + 1);
   }
 }
 
@@ -725,7 +746,7 @@ void RouterServer::onUpstreamDown(const std::shared_ptr<Connection> &Conn,
 void RouterServer::dispatch(const std::shared_ptr<Connection> &Conn,
                             uint64_t Key, const std::string &OpName,
                             const std::string &Id, const std::string &Line,
-                            unsigned Attempts) {
+                            unsigned Attempts, unsigned Redispatches) {
   if (Conn->TearingDown.load() || !Conn->alive())
     return; // The client left; don't touch shard health on its behalf.
   const auto DispatchStart = std::chrono::steady_clock::now();
@@ -769,6 +790,7 @@ void RouterServer::dispatch(const std::shared_ptr<Connection> &Conn,
       Entry.Line = Line;
       Entry.Key = Key;
       Entry.Attempts = Attempts;
+      Entry.Redispatches = Redispatches;
       Entry.TraceId = TraceId;
       Entry.Arrival = Arrival;
       Entry.ParkedNs = ParkedNs;
@@ -953,7 +975,7 @@ void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
     Entry.Arrival = std::chrono::steady_clock::now();
   }
   dispatch(Conn, shardKeyForRequest(Req), Parsed.OpName, Req.Id, SendLine,
-           /*Attempts=*/0);
+           /*Attempts=*/0, /*Redispatches=*/0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1042,7 +1064,8 @@ void RouterServer::retryLoop() {
                       It->second.Shard == Connection::ParkedShard;
       }
       if (StillWanted)
-        dispatch(Conn, R.Key, R.OpName, R.Id, R.Line, R.Attempts);
+        dispatch(Conn, R.Key, R.OpName, R.Id, R.Line, R.Attempts,
+                 R.Redispatches);
     }
     Lock.lock();
   }

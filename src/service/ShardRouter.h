@@ -35,8 +35,9 @@
 /// Failure model: a shard whose connection drops (or whose health ping
 /// fails) is marked down and skipped by the ring. In-flight id-tracked
 /// requests of a dying upstream are re-dispatched to the next live
-/// shard; untracked (id-less) ones — uncorrelatable by design — get an
-/// `unavailable` error frame each. With no live shard at all, requests
+/// shard, once: a request whose second shard dies too gets `unavailable`
+/// rather than a third shard. Untracked (id-less) ones — uncorrelatable
+/// by design — get an `unavailable` error frame each. With no live shard at all, requests
 /// answer `unavailable` immediately. A background monitor pings every
 /// shard (BackoffPolicy-spaced when it stays down) and revives it on
 /// the first successful ping.
@@ -166,9 +167,12 @@ private:
                   const std::string &Line, bool &StopAfterSend);
   /// Dispatches \p Line (a route/batch request) to the shard owning
   /// \p Key, registering the id for retry/re-dispatch when non-empty.
+  /// \p Attempts and \p Redispatches carry the request's queue_full
+  /// retries and shard-death re-dispatches so far.
   void dispatch(const std::shared_ptr<Connection> &Conn, uint64_t Key,
                 const std::string &OpName, const std::string &Id,
-                const std::string &Line, unsigned Attempts);
+                const std::string &Line, unsigned Attempts,
+                unsigned Redispatches);
   void handleCancel(const std::shared_ptr<Connection> &Conn,
                     const Request &Req);
   /// Opens (or reuses) the upstream of (Conn, Shard) — spawning its
@@ -216,6 +220,7 @@ private:
     std::string Id;
     std::string Line;
     unsigned Attempts = 0;
+    unsigned Redispatches = 0;
   };
   std::mutex RetryMu;
   std::condition_variable RetryCv;

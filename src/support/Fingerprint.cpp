@@ -88,6 +88,5 @@ uint64_t qlosure::fingerprint(const RoutingContextOptions &Options) {
                           static_cast<uint64_t>(Options.Weights.Engine));
   Hash = hashU64(Hash, Options.Weights.ExactGateLimit);
   Hash = hashU64(Hash, Options.Weights.SaturationStatementLimit);
-  Hash = hashU64(Hash, Options.RequireWeightedDistances ? 1 : 0);
   return Hash;
 }

@@ -53,9 +53,9 @@ uint64_t fingerprint(const Circuit &Circ);
 /// matrices) and the name are excluded.
 uint64_t fingerprint(const CouplingGraph &Graph);
 
-/// Content hash of context-construction options (omega engine knobs,
-/// weighted-distance requirement): contexts built with different options
-/// are not interchangeable and must key different cache entries.
+/// Content hash of context-construction options (the omega engine knobs):
+/// contexts built with different options are not interchangeable and
+/// must key different cache entries.
 uint64_t fingerprint(const RoutingContextOptions &Options);
 
 } // namespace qlosure

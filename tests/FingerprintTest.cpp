@@ -124,12 +124,9 @@ TEST(FingerprintTest, EdgeOrderInsensitive) {
 
 TEST(FingerprintTest, ContextOptionsHashDistinguishesConfigs) {
   RoutingContextOptions Default;
-  RoutingContextOptions Weighted;
-  Weighted.RequireWeightedDistances = true;
   RoutingContextOptions ExactEngine;
   ExactEngine.Weights.Engine = WeightEngine::Exact;
   EXPECT_EQ(fingerprint(Default), fingerprint(RoutingContextOptions{}));
-  EXPECT_NE(fingerprint(Default), fingerprint(Weighted));
   EXPECT_NE(fingerprint(Default), fingerprint(ExactEngine));
 }
 
@@ -143,7 +140,8 @@ TEST(FingerprintTest, EmptyCircuitKeysAndRoutes) {
 
   CouplingGraph Hw = makeAspen16();
   auto Bundle = service::CachedContext::build(
-      Empty, Hw, RoutingContextOptions{});
+      std::make_shared<const Circuit>(Empty),
+      std::make_shared<const CouplingGraph>(Hw), RoutingContextOptions{});
   ASSERT_TRUE(Bundle->context().valid());
   for (const std::string &Name : paperRouterNames()) {
     auto Mapper = makeRouterByName(Name);
@@ -162,7 +160,8 @@ TEST(FingerprintTest, OneQubitCircuitKeysAndRoutes) {
 
   CouplingGraph Hw = makeAspen16();
   auto Bundle = service::CachedContext::build(
-      OneQubit, Hw, RoutingContextOptions{});
+      std::make_shared<const Circuit>(OneQubit),
+      std::make_shared<const CouplingGraph>(Hw), RoutingContextOptions{});
   ASSERT_TRUE(Bundle->context().valid());
   for (const std::string &Name : paperRouterNames()) {
     auto Mapper = makeRouterByName(Name);

@@ -198,12 +198,12 @@ TEST(WorkloadCornerTest, QuekoDepthOne) {
   EXPECT_GT(I.Circ.size(), 0u);
 }
 
-TEST(WorkloadCornerTest, WeightedDistanceSymmetry) {
+TEST(WorkloadCornerTest, EdgeErrorSymmetry) {
   CouplingGraph G = makeGrid(3, 3);
   applySyntheticErrorModel(G, 23);
   for (unsigned A = 0; A < 9; ++A)
     for (unsigned B = 0; B < 9; ++B)
-      EXPECT_DOUBLE_EQ(G.weightedDistance(A, B), G.weightedDistance(B, A));
+      EXPECT_DOUBLE_EQ(G.edgeError(A, B), G.edgeError(B, A));
 }
 
 TEST(WorkloadCornerTest, SuiteCircuitsAreRoutableSmoke) {

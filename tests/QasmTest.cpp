@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <string>
 
 using namespace qlosure;
 using namespace qlosure::qasm;
@@ -268,6 +270,62 @@ TEST(ImporterTest, ErrorsOnIndexOutOfRange) {
 TEST(ImporterTest, ErrorsOnArityMismatch) {
   auto R = importQasm("qreg q[3]; cx q[0];");
   ASSERT_FALSE(R.succeeded());
+}
+
+namespace {
+
+/// \p Levels nested gate definitions, each calling the previous twice,
+/// then one call of the last: 2^Levels gates from O(Levels) bytes.
+std::string doublingGates(unsigned Levels) {
+  std::string Text = "qreg q[1];\ngate g0 a { h a; }\n";
+  for (unsigned I = 1; I <= Levels; ++I)
+    Text += "gate g" + std::to_string(I) + " a { g" + std::to_string(I - 1) +
+            " a; g" + std::to_string(I - 1) + " a; }\n";
+  return Text + "g" + std::to_string(Levels) + " q[0];\n";
+}
+
+} // namespace
+
+TEST(ImporterTest, HugeRegisterIsOverBudget) {
+  auto R = importQasm("OPENQASM 2.0;\nqreg q[2000000000];\nh q;\n");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(R.OverBudget);
+  EXPECT_NE(R.Error.find("qubits"), std::string::npos) << R.Error;
+  // Registers that only add up past the budget fail the same way.
+  auto Sum = importQasm("qreg a[40000]; qreg b[40000]; h a[0];");
+  ASSERT_FALSE(Sum.succeeded());
+  EXPECT_TRUE(Sum.OverBudget);
+  // Malformed input is not over budget.
+  EXPECT_FALSE(importQasm("qreg q[1]; frobnicate q[0];").OverBudget);
+}
+
+TEST(ImporterTest, ExponentialGateExpansionIsOverBudget) {
+  const auto Start = std::chrono::steady_clock::now();
+  auto R = importQasm(doublingGates(40));
+  const double Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(R.OverBudget);
+  EXPECT_NE(R.Error.find("gates"), std::string::npos) << R.Error;
+  // Rejected before any expansion, not after emitting the budget.
+  EXPECT_LT(Seconds, 1.0);
+
+  auto Small = importQasm(doublingGates(10));
+  ASSERT_TRUE(Small.succeeded()) << Small.Error;
+  EXPECT_EQ(Small.Circ->size(), 1024u);
+}
+
+TEST(ImporterTest, BroadcastGatesCountAgainstTheBudget) {
+  // 64 broadcasts over the largest register emit exactly the gate budget
+  // (2^22); one more gate is over it.
+  std::string Text = "qreg q[65536];\n";
+  for (int I = 0; I < 64; ++I)
+    Text += "h q;\n";
+  Text += "h q[0];\n";
+  auto R = importQasm(Text);
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(R.OverBudget) << R.Error;
 }
 
 //===----------------------------------------------------------------------===//

@@ -185,21 +185,3 @@ TEST(CouplingGraphCacheTest, FlatEdgeErrorsRoundTrip) {
   EXPECT_EQ(G.edgeError(0, 1), 0.0);         // Uncalibrated edge.
   EXPECT_EQ(G.edgeError(0, 3), 0.0);         // Non-edge.
 }
-
-TEST(CouplingGraphCacheTest, WeightedDistancesCachePerPenalty) {
-  CouplingGraph G = makeLine(4);
-  applySyntheticErrorModel(G, /*Seed=*/42);
-  ASSERT_TRUE(G.hasWeightedDistances());
-  double D = G.weightedDistance(0, 3);
-  G.computeWeightedDistances(); // Same default penalty: cached, unchanged.
-  EXPECT_DOUBLE_EQ(G.weightedDistance(0, 3), D);
-  G.computeWeightedDistances(/*Penalty=*/100.0); // New penalty: recompute.
-  EXPECT_GT(G.weightedDistance(0, 3), D);
-
-  // Topology mutation invalidates the weighted cache too; the shortcut
-  // edge must show up after recomputation.
-  G.addEdge(0, 3);
-  EXPECT_FALSE(G.hasWeightedDistances());
-  G.computeWeightedDistances();
-  EXPECT_LT(G.weightedDistance(0, 3), D);
-}

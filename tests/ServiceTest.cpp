@@ -488,7 +488,9 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
   for (size_t I = 0; I < Results.size(); ++I)
     Threads.emplace_back([&, I] {
       Results[I] = Cache.getOrBuild(Key, [&] {
-        return CachedContext::build(C, Hw, RoutingContextOptions{});
+        return CachedContext::build(std::make_shared<const Circuit>(C),
+                                    std::make_shared<const CouplingGraph>(Hw),
+                                    RoutingContextOptions{});
       });
     });
   for (std::thread &T : Threads)
@@ -500,6 +502,21 @@ TEST(ContextCacheTest, CachedContextSharesAcrossThreads) {
     // may build twice, but the cache keeps exactly one).
     EXPECT_EQ(Bundle.get(), Results[0].get());
   }
+}
+
+TEST(ContextCacheTest, CachedContextSharesInsteadOfCopying) {
+  auto C = std::make_shared<Circuit>(3, "shared");
+  C->addCx(0, 1);
+  auto Hw = std::make_shared<const CouplingGraph>(makeAspen16());
+  auto Bundle = CachedContext::build(C, Hw, RoutingContextOptions{});
+  ASSERT_TRUE(Bundle->context().valid());
+  // The context references the caller's objects by address, and the
+  // bundle keeps them alive once the caller lets go.
+  EXPECT_EQ(&Bundle->context().circuit(), C.get());
+  EXPECT_EQ(&Bundle->context().hardware(), Hw.get());
+  std::weak_ptr<const Circuit> Watch = C;
+  C.reset();
+  EXPECT_FALSE(Watch.expired());
 }
 
 //===----------------------------------------------------------------------===//
@@ -876,6 +893,104 @@ TEST(ServerTest, DeeplyNestedQasmGetsBadQasmAndDaemonKeepsServing) {
   json::Value Routed = parseResponse(Response);
   ASSERT_TRUE(responseOk(Routed)) << Response;
   EXPECT_TRUE(Routed.get("stats")->get("verified")->asBool());
+}
+
+TEST(ServerTest, OverBudgetQasmGetsTooLargeAndDaemonKeepsServing) {
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+
+  // 2^40 gates from 40 doubling definitions.
+  std::string Doubling = "OPENQASM 2.0;\nqreg q[1];\ngate g0 a { h a; }\n";
+  for (unsigned I = 1; I <= 40; ++I)
+    Doubling += formatString("gate g%u a { g%u a; g%u a; }\n", I, I - 1,
+                             I - 1);
+  Doubling += "g40 q[0];\n";
+  for (const std::string &Hostile :
+       {std::string("OPENQASM 2.0;\nqreg q[2000000000];\nh q;\n"),
+        Doubling}) {
+    const auto Start = std::chrono::steady_clock::now();
+    std::string Response;
+    ASSERT_TRUE(Conn.request(routeRequest(Hostile).dump(), Response).ok());
+    const double Seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - Start)
+                               .count();
+    json::Value Doc = parseResponse(Response);
+    EXPECT_FALSE(responseOk(Doc)) << Response;
+    EXPECT_EQ(errorCode(Doc), errc::TooLarge) << Response;
+    EXPECT_LT(Seconds, 1.0) << Response;
+  }
+
+  std::string Response;
+  ASSERT_TRUE(
+      Conn.request(routeRequest(sampleQasm()).dump(), Response).ok());
+  json::Value Routed = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Routed)) << Response;
+  EXPECT_TRUE(Routed.get("stats")->get("verified")->asBool());
+}
+
+namespace {
+
+json::Value tracedRoute(const std::string &Qasm, const std::string &Mapper,
+                        bool Affine = false) {
+  json::Value Req = routeRequest(Qasm, Mapper);
+  Req.set("trace", true);
+  if (Affine)
+    Req.set("affine", true);
+  return Req;
+}
+
+size_t countSpans(const json::Value &Doc, const std::string &Name) {
+  size_t Count = 0;
+  for (const json::Value &S : Doc.get("trace")->get("spans")->items())
+    Count += S.get("name")->asString() == Name;
+  return Count;
+}
+
+} // namespace
+
+TEST(ServerTest, OmegaIsComputedOnlyByMappersThatReadIt) {
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  std::string Response;
+
+  // A cold sabre route builds the context without omega.
+  ASSERT_TRUE(
+      Conn.request(tracedRoute(sampleQasm(), "sabre").dump(), Response).ok());
+  json::Value Sabre = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Sabre)) << Response;
+  EXPECT_FALSE(Sabre.get("context_cache_hit")->asBool()) << Response;
+  EXPECT_EQ(countSpans(Sabre, "ctx_weights"), 0u) << Response;
+
+  // qlosure then reuses that cached context and computes omega exactly
+  // once, on first read.
+  ASSERT_TRUE(Conn.request(tracedRoute(sampleQasm(), "qlosure").dump(),
+                           Response)
+                  .ok());
+  json::Value Lazy = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Lazy)) << Response;
+  EXPECT_TRUE(Lazy.get("context_cache_hit")->asBool()) << Response;
+  EXPECT_EQ(countSpans(Lazy, "ctx_weights"), 1u) << Response;
+
+  // Routed output matches a qlosure route on a fresh daemon byte for byte.
+  ServerFixture Fresh;
+  Client FreshConn = Fresh.connect();
+  ASSERT_TRUE(
+      FreshConn.request(routeRequest(sampleQasm(), "qlosure").dump(), Response)
+          .ok());
+  json::Value Cold = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Cold)) << Response;
+  EXPECT_EQ(Lazy.get("qasm")->asString(), Cold.get("qasm")->asString());
+
+  // Affine qlosure scores without omega: a cold context stays omega-free.
+  std::string Other = sampleQasm() + "cx q[3],q[0];\n";
+  ASSERT_TRUE(
+      Conn.request(tracedRoute(Other, "qlosure", /*Affine=*/true).dump(),
+                   Response)
+          .ok());
+  json::Value Affine = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Affine)) << Response;
+  EXPECT_FALSE(Affine.get("context_cache_hit")->asBool()) << Response;
+  EXPECT_EQ(countSpans(Affine, "ctx_weights"), 0u) << Response;
 }
 
 TEST_P(ServerTransportTest, AbsurdTimeoutIsClampedNotWrapped) {

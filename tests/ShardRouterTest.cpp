@@ -20,6 +20,8 @@
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "service/ShardRouter.h"
+#include "service/SocketIO.h"
+#include "service/Transport.h"
 
 #include "qasm/Printer.h"
 #include "support/Fingerprint.h"
@@ -684,6 +686,86 @@ TEST(ShardRouterTest, ServesDegradedAfterShardDeath) {
   json::Value Fail = parseResponse(Response);
   EXPECT_FALSE(responseOk(Fail));
   EXPECT_EQ(errorCode(Fail), errc::Unavailable) << Response;
+}
+
+/// A stand-in shard that answers health pings but drops its connection
+/// the moment a route line arrives, as a daemon crashing on a poison
+/// request would. Serves one connection at a time; counts route lines.
+struct CrashingShard {
+  Listener Sock;
+  std::atomic<unsigned> RouteLines{0};
+  std::thread Acceptor;
+
+  CrashingShard() {
+    Endpoint Ep;
+    EXPECT_TRUE(parseEndpoint(tempSocketPath(), Ep).ok());
+    EXPECT_TRUE(Sock.listen(Ep).ok());
+    Acceptor = std::thread([this] {
+      for (int Fd; (Fd = Sock.acceptConnection()) >= 0; ::close(Fd))
+        serve(Fd);
+    });
+  }
+
+  ~CrashingShard() {
+    Sock.wake();
+    Acceptor.join();
+    Sock.close();
+  }
+
+  void serve(int Fd) {
+    std::string Pending, Line;
+    char Buf[4096];
+    for (ssize_t N; (N = recvSome(Fd, Buf, sizeof(Buf))) > 0;) {
+      Pending.append(Buf, static_cast<size_t>(N));
+      while (popLine(Pending, Line)) {
+        json::ParseResult Req = json::parse(Line);
+        if (Req.Ok && Req.V.get("op")->asString() == "route") {
+          ++RouteLines;
+          return; // The caller closes the connection.
+        }
+        sendAll(Fd, formatPingResponse("") + "\n");
+      }
+    }
+  }
+};
+
+TEST(ShardRouterTest, OrphanIsRedispatchedOnceThenAnswersUnavailable) {
+  std::vector<std::unique_ptr<CrashingShard>> Shards;
+  RouterOptions Opts;
+  for (int S = 0; S < 3; ++S) {
+    Shards.push_back(std::make_unique<CrashingShard>());
+    Opts.Shards.push_back(Shards.back()->Sock.endpoint().str());
+  }
+  Opts.Listen = tempSocketPath();
+  Opts.HealthIntervalMs = 100;
+  RouterServer Router(Opts);
+  ASSERT_TRUE(Router.start().ok());
+  std::thread Waiter([&] { Router.wait(); });
+
+  // In a lambda so a failed ASSERT still reaches the join below.
+  [&] {
+    Client Conn;
+    ASSERT_TRUE(Conn.connect(Router.boundAddress(), 5.0).ok());
+    ASSERT_TRUE(Conn.setIoTimeout(30.0).ok());
+    json::Value Poison = routeRequest(sampleQasm());
+    Poison.set("id", "poison");
+    std::string Response;
+    ASSERT_TRUE(Conn.request(Poison.dump(), Response).ok());
+    json::Value Doc = parseResponse(Response);
+    EXPECT_FALSE(responseOk(Doc)) << Response;
+    EXPECT_EQ(errorCode(Doc), errc::Unavailable) << Response;
+    EXPECT_EQ(Doc.get("id")->asString(), "poison");
+
+    // The first shard and the one re-dispatch each saw the request; the
+    // third shard never does.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    unsigned Sent = 0;
+    for (const auto &Shard : Shards)
+      Sent += Shard->RouteLines.load();
+    EXPECT_EQ(Sent, 2u);
+  }();
+  Router.requestStop();
+  Waiter.join();
 }
 
 TEST(ShardRouterTest, CancelOfUnknownIdAcksLocally) {

@@ -2,6 +2,7 @@
 # End-to-end smoke of the qlosured daemon with the real binaries: boot on
 # a temp socket, route a QUEKO circuit through qlosure-client, assert the
 # response verifies, assert the repeated request reports a cache hit,
+# assert from traces that only a mapper reading omega computes it,
 # cancel an in-flight deep route mid-flight (protocol v2), and shut the
 # daemon down cleanly over the protocol. Run by ctest (service-smoke) and
 # the CI service job.
@@ -48,6 +49,22 @@ echo "service-smoke: repeated request hit the cache"
 [[ "$status" -eq 1 ]] # error response, not a transport failure
 grep -q '"code":"unknown_mapper"' "$RESP"
 echo "service-smoke: malformed request answered with a structured error"
+
+# omega is computed only for a mapper that reads it: a traced cold sabre
+# route carries no ctx_weights span, and qlosure over the same (now
+# cached) context computes omega on first read.
+"$BIN_DIR/qlosure-client" --socket "$SOCK" route --mapper sabre \
+  --backend ankaa3 --stats-only --trace "$QASM" > "$RESP" 2> /dev/null
+grep -q '"context_cache_hit":false' "$RESP"
+if grep -q '"ctx_weights"' "$RESP"; then
+  echo "service-smoke: sabre route computed omega" >&2
+  exit 1
+fi
+"$BIN_DIR/qlosure-client" --socket "$SOCK" route --mapper qlosure \
+  --backend ankaa3 --stats-only --trace "$QASM" > "$RESP" 2> /dev/null
+grep -q '"context_cache_hit":true' "$RESP"
+grep -q '"ctx_weights"' "$RESP"
+echo "service-smoke: omega computed by qlosure only, on the shared context"
 
 # Affine fast path over the wire: a hand-rolled periodic circuit (one CX
 # ladder repeated eight times) routed with "affine":true must verify, and
