@@ -6,7 +6,6 @@
 
 #include "service/Client.h"
 
-#include "service/SocketIO.h"
 #include "service/Transport.h"
 #include "support/Fingerprint.h"
 #include "support/Json.h"
@@ -68,7 +67,7 @@ void Client::close() {
     ::close(Fd);
     Fd = -1;
   }
-  Pending.clear();
+  Reader = LineReader();
   Stash.clear();
 }
 
@@ -83,17 +82,14 @@ Status Client::sendLine(const std::string &Line) {
 Status Client::recvLine(std::string &Line) {
   if (Fd < 0)
     return Status::error("not connected");
-  char Buffer[65536];
-  while (!popLine(Pending, Line)) {
-    ssize_t N = recvSome(Fd, Buffer, sizeof(Buffer));
-    if (N < 0)
-      return Status::error(
-          formatString("recv(): %s", std::strerror(errno)));
-    if (N == 0)
-      return Status::error("connection closed by server");
-    Pending.append(Buffer, static_cast<size_t>(N));
+  switch (Reader.read(Fd, Line)) {
+  case LineReader::Result::Line:
+    return Status::success();
+  case LineReader::Result::Eof:
+    return Status::error("connection closed by server");
+  default:
+    return Status::error(formatString("recv(): %s", std::strerror(errno)));
   }
-  return Status::success();
 }
 
 namespace {

@@ -27,6 +27,7 @@
 #ifndef QLOSURE_SERVICE_CLIENT_H
 #define QLOSURE_SERVICE_CLIENT_H
 
+#include "service/Transport.h"
 #include "support/Error.h"
 
 #include <deque>
@@ -48,7 +49,7 @@ public:
   Client(const Client &) = delete;
   Client &operator=(const Client &) = delete;
   Client(Client &&Other) noexcept
-      : Fd(Other.Fd), Pending(std::move(Other.Pending)),
+      : Fd(Other.Fd), Reader(std::move(Other.Reader)),
         Stash(std::move(Other.Stash)) {
     Other.Fd = -1;
   }
@@ -100,7 +101,8 @@ private:
   };
 
   int Fd = -1;
-  std::string Pending; ///< Bytes read past the last returned line.
+  /// Unbounded: a routed response can exceed the request-line bound.
+  LineReader Reader;
   /// Final responses read while waiting for a different (op, id), in
   /// arrival order.
   std::deque<StashedFinal> Stash;

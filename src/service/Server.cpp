@@ -14,20 +14,12 @@
 #include "route/InitialMapping.h"
 #include "route/Verify.h"
 #include "service/Metrics.h"
-#include "service/SocketIO.h"
 #include "support/Log.h"
 #include "support/StringUtils.h"
 #include "topology/Backends.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <tuple>
-
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 using namespace qlosure;
 using namespace qlosure::service;
@@ -164,49 +156,14 @@ void logSlowRequest(const char *Op, const std::string &Id,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Connection: the shared per-connection writer + in-flight session table
+// Connection: the host's writer + the in-flight session table
 //===----------------------------------------------------------------------===//
 
-/// Shared between the connection thread (reads, inline responses,
-/// cancels) and any workers running this connection's jobs (final
-/// responses, progress events). The writer mutex serializes frames so
-/// concurrent completions interleave whole lines, never bytes. The fd
-/// closes with the last shared_ptr, so a worker finishing after the
-/// reader exited can never write into a recycled descriptor.
-struct Server::Connection {
-  explicit Connection(int FdIn) : Fd(FdIn) {}
-  ~Connection() { ::close(Fd); }
-  Connection(const Connection &) = delete;
-  Connection &operator=(const Connection &) = delete;
-
-  const int Fd;
-
-  /// Writes one frame (newline appended). Returns false once the peer is
-  /// gone or the reader marked the connection closed; failures latch, so
-  /// late completions degrade to cheap no-ops. The 30 s cumulative bound
-  /// (on top of the per-send SO_SNDTIMEO) means a slow-dripping reader
-  /// cannot pin the writing thread past one frame's worth of patience.
-  bool send(const std::string &Line) {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    if (Closed)
-      return false;
-    if (!sendAll(Fd, Line + "\n", /*MaxSeconds=*/30.0)) {
-      Closed = true;
-      return false;
-    }
-    return true;
-  }
-
-  bool alive() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    return !Closed;
-  }
-
-  /// Called by the connection thread on exit: no further frames go out.
-  void markClosed() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    Closed = true;
-  }
+/// The host's socket and writer (shared with any workers running this
+/// connection's jobs, which write their responses through it) plus the
+/// in-flight session table.
+struct Server::Connection : HostedConnection {
+  using HostedConnection::HostedConnection;
 
   /// In-flight sessions (routes and batches) by id. Only the owning
   /// connection thread inserts (ids are connection-scoped and requests
@@ -230,10 +187,6 @@ struct Server::Connection {
     std::lock_guard<std::mutex> Lock(JobsMu);
     return InFlight.count(Id) != 0;
   }
-
-private:
-  std::mutex WriteMu;
-  bool Closed = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -300,13 +253,10 @@ Server::Server(ServerOptions Options)
       Results(CacheOptions{this->Options.CacheShards,
                            this->Options.ResultCacheBytes}) {}
 
-Server::~Server() {
-  requestStop();
-  wait();
-}
+Server::~Server() { stop(); }
 
 Status Server::start() {
-  if (Started)
+  if (Host.started())
     return Status::error("server already started");
   if (Options.Listen.empty())
     return Status::error("listen address must not be empty");
@@ -327,8 +277,6 @@ Status Server::start() {
   Endpoint Ep;
   if (Status S = parseEndpoint(Options.Listen, Ep); !S.ok())
     return S;
-  if (Status S = Acceptor.listen(Ep, 64); !S.ok())
-    return S;
 
   Inflight = std::make_unique<InflightTable>();
   SchedulerOptions SchedOpts;
@@ -336,32 +284,23 @@ Status Server::start() {
   SchedOpts.QueueCapacity = Options.QueueCapacity;
   Workers = std::make_unique<Scheduler>(SchedOpts);
 
-  Started = true;
   Uptime.reset();
-  AcceptThread = std::thread([this] { acceptLoop(); });
-  return Status::success();
+  ConnectionHooks Hooks;
+  Hooks.Open = [](int Fd) { return std::make_shared<Connection>(Fd); };
+  Hooks.Line = [this](const std::shared_ptr<HostedConnection> &Conn,
+                      const std::string &Line) {
+    handleLine(std::static_pointer_cast<Connection>(Conn), Line);
+  };
+  Hooks.Closed = [this](const std::shared_ptr<HostedConnection> &Conn) {
+    onConnectionClosed(static_cast<Connection &>(*Conn));
+  };
+  return Host.start(Ep, std::move(Hooks));
 }
 
-void Server::requestStop() {
-  {
-    std::lock_guard<std::mutex> Lock(StopMu);
-    StopRequested = true;
-  }
-  StopCv.notify_all();
-}
+void Server::requestStop() { Host.requestStop(); }
 
 void Server::wait(const std::function<bool()> &ExternalStop) {
-  if (!Started)
-    return;
-  {
-    std::unique_lock<std::mutex> Lock(StopMu);
-    while (!StopRequested) {
-      if (ExternalStop && ExternalStop())
-        break;
-      StopCv.wait_for(Lock, std::chrono::milliseconds(200));
-    }
-  }
-  teardown();
+  Host.wait(ExternalStop, [this] { drain(); });
 }
 
 void Server::stop() {
@@ -369,26 +308,13 @@ void Server::stop() {
   wait();
 }
 
-void Server::teardown() {
-  std::lock_guard<std::mutex> TeardownLock(TeardownMu);
-  if (TornDown)
-    return;
-  TornDown = true;
-  Stopping.store(true);
-
-  // Unblock accept(), and only close the listener (unlinking a unix
-  // socket file) once the accept thread no longer reads it.
-  Acceptor.wake();
-  if (AcceptThread.joinable())
-    AcceptThread.join();
-  Acceptor.close();
-
+void Server::drain() {
   // Drain the scheduler FIRST, while every connection's write side is
   // still intact: each pending route reaches its completion path and its
   // final response actually reaches the client — the exactly-one-final-
   // response guarantee holds across shutdown. New submissions are
-  // already rejected (Stopping answers shutting_down). Only then sever
-  // the connections to unblock their readers.
+  // already rejected (the host is stopping, which answers
+  // shutting_down). The host severs the connections afterwards.
   if (Workers)
     Workers->shutdown();
   // Every leader has now completed (drained jobs complete their flights
@@ -403,105 +329,9 @@ void Server::teardown() {
   }
   if (Store)
     Store->flush();
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (const std::shared_ptr<Connection> &Conn : Conns)
-      if (Conn)
-        ::shutdown(Conn->Fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    ToJoin.swap(ConnThreads);
-  }
-  for (std::thread &T : ToJoin)
-    if (T.joinable())
-      T.join();
 }
 
-//===----------------------------------------------------------------------===//
-// Accept + connection loops
-//===----------------------------------------------------------------------===//
-
-void Server::acceptLoop() {
-  while (!Stopping.load()) {
-    int Fd = Acceptor.acceptConnection();
-    if (Fd < 0)
-      return; // Listener closed (teardown) or fatal; either way, stop.
-    if (Stopping.load()) {
-      ::close(Fd);
-      return;
-    }
-    // Responses are written by worker threads: a peer that stops reading
-    // while we owe it data must not pin a worker (or the writer mutex)
-    // forever. Bound every blocking send; a timed-out send fails and
-    // latches the connection closed — the peer is treated as gone.
-    timeval SendTimeout{};
-    SendTimeout.tv_sec = 10;
-    ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
-                 sizeof(SendTimeout));
-    auto Conn = std::make_shared<Connection>(Fd);
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    // Reap connections that finished since the last accept: join their
-    // threads (they have already vacated their slot, so join returns
-    // promptly) and recycle the slots.
-    for (size_t Finished : FinishedSlots) {
-      if (ConnThreads[Finished].joinable())
-        ConnThreads[Finished].join();
-      FreeSlots.push_back(Finished);
-    }
-    FinishedSlots.clear();
-
-    size_t Slot;
-    if (!FreeSlots.empty()) {
-      Slot = FreeSlots.back();
-      FreeSlots.pop_back();
-      Conns[Slot] = Conn;
-      ConnThreads[Slot] =
-          std::thread([this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    } else {
-      Slot = Conns.size();
-      Conns.push_back(Conn);
-      ConnThreads.emplace_back(
-          [this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    }
-    {
-      std::lock_guard<std::mutex> CounterLock(CounterMu);
-      ++Counters.Connections;
-    }
-  }
-}
-
-void Server::connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot) {
-  std::string Pending;
-  char Buffer[65536];
-  bool Alive = true;
-  while (Alive) {
-    ssize_t N = recvSome(Conn->Fd, Buffer, sizeof(Buffer));
-    if (N <= 0)
-      break;
-    Pending.append(Buffer, static_cast<size_t>(N));
-    if (Pending.size() > Options.MaxRequestBytes &&
-        Pending.find('\n') == std::string::npos) {
-      sendError(*Conn, "unknown", "", errc::BadRequest,
-                "request line too large");
-      break;
-    }
-    std::string Line;
-    while (Alive && popLine(Pending, Line)) {
-      if (Line.empty())
-        continue;
-      bool StopAfterSend = false;
-      handleLine(Conn, Line, StopAfterSend);
-      if (StopAfterSend)
-        requestStop();
-      if (!Conn->alive())
-        Alive = false;
-    }
-  }
-  // No frame may go out after the reader exits: in-flight completions
-  // degrade to no-ops (their in-flight entries still clear normally).
-  Conn->markClosed();
+void Server::onConnectionClosed(Connection &Conn) {
   // Nothing can read this connection's outcomes anymore, so abort its
   // queued and in-flight jobs instead of letting workers spend minutes
   // routing into a latched-closed writer (a dropped pipelined connection
@@ -510,20 +340,12 @@ void Server::connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot) {
   // connections still get their final response, naming the cause.
   std::vector<std::shared_ptr<Session>> Orphans;
   {
-    std::lock_guard<std::mutex> Lock(Conn->JobsMu);
-    for (const auto &Entry : Conn->InFlight)
+    std::lock_guard<std::mutex> Lock(Conn.JobsMu);
+    for (const auto &Entry : Conn.InFlight)
       Orphans.push_back(Entry.second);
   }
   for (const std::shared_ptr<Session> &S : Orphans)
     cancelSession(*S, "leader connection dropped");
-  // Vacate the slot under the same lock teardown() iterates under, then
-  // report it finished so the accept loop joins this thread and recycles
-  // it. The Connection object itself lives on until the last in-flight
-  // job drops its reference — which is what keeps the fd from being
-  // recycled under a late writer.
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  Conns[Slot] = nullptr;
-  FinishedSlots.push_back(Slot);
 }
 
 //===----------------------------------------------------------------------===//
@@ -541,7 +363,7 @@ void Server::sendError(Connection &Conn, const char *Op,
 }
 
 void Server::handleLine(const std::shared_ptr<Connection> &Conn,
-                        const std::string &Line, bool &StopAfterSend) {
+                        const std::string &Line) {
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.Requests;
@@ -569,8 +391,8 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
         formatMetricsResponse(Req.Id, prometheusText(statsJson(), "qlosure")));
     return;
   case Op::Shutdown:
-    StopAfterSend = true;
     Conn->send(formatShutdownResponse(Req.Id));
+    requestStop();
     return;
   case Op::Cancel:
     handleCancel(Conn, Req);
@@ -811,7 +633,7 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
       ++Counters.RouteRequests;
     }
   }
-  if (Stopping.load()) {
+  if (Host.stopping()) {
     sendError(*Conn, S->op(), Req.Id, errc::ShuttingDown,
               "server is shutting down");
     return;
@@ -941,9 +763,9 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
       // request's own candidates have not attached yet, so no item frame
       // escapes).
       const char *Code =
-          Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
+          Host.stopping() ? errc::ShuttingDown : errc::QueueFull;
       std::string Message =
-          Stopping.load() ? "server is shutting down"
+          Host.stopping() ? "server is shutting down"
           : S->IsBatch    ? formatString("scheduler queue lacks capacity for "
                                          "%zu batch items, retry later",
                                          JobIndex.size())
@@ -995,8 +817,8 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
                                               Deadline),
                                 C.Ticket)) {
           const char *Code =
-              Stopping.load() ? errc::ShuttingDown : errc::QueueFull;
-          const char *Message = Stopping.load()
+              Host.stopping() ? errc::ShuttingDown : errc::QueueFull;
+          const char *Message = Host.stopping()
                                     ? "server is shutting down"
                                     : "scheduler queue is full, retry later";
           Inflight->completeByLeader(C.Ticket,
@@ -1222,13 +1044,13 @@ json::Value Server::statsJson() const {
   json::Value ServerObj = json::Value::object();
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
-    ServerObj.set("connections", Counters.Connections);
+    ServerObj.set("connections", Host.connections());
     ServerObj.set("requests", Counters.Requests);
     ServerObj.set("route_requests", Counters.RouteRequests);
     ServerObj.set("cancel_requests", Counters.CancelRequests);
     ServerObj.set("batch_requests", Counters.BatchRequests);
     ServerObj.set("batch_items", Counters.BatchItems);
-    ServerObj.set("errors", Counters.Errors);
+    ServerObj.set("errors", Counters.Errors + Host.rejectedLines());
     ServerObj.set("affine_replays", Counters.AffineReplays);
     ServerObj.set("affine_fallbacks", Counters.AffineFallbacks);
     ServerObj.set("coalesced", Counters.Coalesced);

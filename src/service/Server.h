@@ -32,8 +32,9 @@
 ///   no item frames) -> attach the candidates as followers -> send the
 ///   inline hits and failures -> **keep reading** (no wait).
 ///
-///   worker thread: context-cache getOrBuild (shared RoutingContext with
-///   warm omega weights) -> route with the worker's pooled RoutingScratch,
+///   worker thread: context-cache getOrBuild (shared RoutingContext;
+///   omega is computed on the first read, so only a mapper that scores
+///   with it pays for it) -> route with the worker's pooled RoutingScratch,
 ///   polling the job's CancellationToken once per front-layer step ->
 ///   verify -> print -> insert result cache -> complete the flight (its
 ///   followers are answered first) -> reply, or the `cancelled` /
@@ -57,14 +58,15 @@
 /// closed. A wedged client delays a worker by tens of seconds at most,
 /// never pins it.
 ///
-/// Threading/ownership contract: the Server owns the accept thread, one
-/// connection thread per live connection, and the scheduler's workers.
-/// Each Connection object (socket fd + writer mutex + in-flight session
-/// table) is shared between its connection thread and the workers running
-/// its jobs via shared_ptr; the fd closes when the last holder drops, so
-/// a worker can never write into a recycled fd. Caches are internally
-/// synchronized; counters take CounterMu; nothing here may be touched
-/// after teardown() returns except the destructor.
+/// Threading/ownership contract: the Server's ConnectionHost
+/// (service/Transport.h) owns the accept thread and one connection
+/// thread per live connection; the Server owns the scheduler's workers.
+/// Each Connection object (the host's socket + writer, plus the in-flight
+/// session table) is shared between its connection thread and the
+/// workers running its jobs via shared_ptr; the fd closes when the last
+/// holder drops, so a worker can never write into a recycled fd. Caches
+/// are internally synchronized; counters take CounterMu; nothing here may
+/// be touched after wait() returns except the destructor.
 ///
 /// Every request is answered: malformed input yields structured error
 /// responses, expired deadlines yield `deadline_exceeded` (checked both
@@ -75,8 +77,10 @@
 /// Lifecycle: start() binds and spawns the accept thread; wait() blocks
 /// until a `shutdown` request, requestStop(), or the optional external
 /// predicate (the daemon's signal flag) fires, then tears everything down
-/// gracefully (drains in-flight jobs, joins every thread, unlinks the
-/// socket). One Server per process lifetime stage; not restartable.
+/// gracefully: the host stops accepting, drain() finishes in-flight jobs
+/// while their connections can still be written, and the host severs
+/// and joins the connections (unlinking the socket). One Server per
+/// process lifetime stage; not restartable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,15 +99,12 @@
 #include "support/Trace.h"
 #include "topology/CouplingGraph.h"
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace qlosure {
@@ -126,10 +127,6 @@ struct ServerOptions {
   /// Default per-request deadline when the request carries no timeout_ms
   /// (<= 0 disables the default deadline entirely).
   double DefaultTimeoutSeconds = 60.0;
-  /// Maximum accepted request-line length; longer lines get a structured
-  /// error and the connection is closed (the stream cannot be trusted to
-  /// resynchronize).
-  size_t MaxRequestBytes = 64ull << 20;
   /// Slow-request threshold in milliseconds for the structured log
   /// (support/Log.h): a routed request whose total latency (queue wait
   /// included) reaches it emits one warn-level "slow_request" line with
@@ -169,7 +166,6 @@ struct ServiceHistograms {
 /// Top-level request counters (cache and scheduler counters live in their
 /// components; statsJson() aggregates all of them).
 struct ServerCounters {
-  uint64_t Connections = 0;
   uint64_t Requests = 0;
   uint64_t RouteRequests = 0;
   uint64_t CancelRequests = 0;
@@ -221,7 +217,7 @@ public:
   /// The canonical bound address ("unix:/path" / "tcp:host:port" with the
   /// resolved port) — what clients should connect to. Valid after a
   /// successful start().
-  std::string boundAddress() const { return Acceptor.endpoint().str(); }
+  std::string boundAddress() const { return Host.endpoint().str(); }
 
   /// The full stats document served by the `stats` op.
   json::Value statsJson() const;
@@ -236,8 +232,8 @@ private:
     uint64_t Fingerprint = 0;
   };
 
-  /// Per-connection shared state: the socket, the serialized writer, and
-  /// the in-flight session table. Defined in Server.cpp.
+  /// Per-connection shared state: the host's socket and writer, plus the
+  /// in-flight session table. Defined in Server.cpp.
   struct Connection;
 
   /// Shared state of one in-flight `route` (one item) or `batch` (N
@@ -250,17 +246,18 @@ private:
   /// Outcome of the worker-side routing core. Defined in Server.cpp.
   struct RouteOutcome;
 
-  void acceptLoop();
-  void connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot);
-  void teardown();
+  /// The teardown step between "stop accepting" and "sever connections":
+  /// drains the scheduler, the coalescing table and the store.
+  void drain();
+  /// The reader's exit: cancels the connection's orphaned sessions.
+  void onConnectionClosed(Connection &Conn);
 
   /// Handles one request line. All responses go out through \p Conn's
   /// writer — inline for cheap ops, from a worker for scheduled routes.
-  /// \p StopAfterSend is set for the shutdown op: the ack is written
-  /// *before* the caller triggers requestStop(), or teardown could sever
-  /// the connection ahead of it.
+  /// The shutdown op writes its ack *before* requesting the stop, or
+  /// teardown could sever the connection ahead of it.
   void handleLine(const std::shared_ptr<Connection> &Conn,
-                  const std::string &Line, bool &StopAfterSend);
+                  const std::string &Line);
   /// The one request path of `route` and `batch`: validation, per-item
   /// triage (import, result key, cache/store lookup, flight lead), all-
   /// or-nothing admission, coalesce-candidate attach, then the inline
@@ -350,21 +347,6 @@ private:
   std::unique_ptr<InflightTable> Inflight;
   Timer Uptime;
 
-  Listener Acceptor;
-  std::thread AcceptThread;
-
-  /// Connection bookkeeping: ConnThreads[I] handles Conns[I]. Finished
-  /// connections report their slot in FinishedSlots; the accept loop
-  /// joins them and recycles the slots via FreeSlots, so a long-lived
-  /// daemon serving many short-lived connections holds O(max concurrent),
-  /// not O(total), thread stacks. Conns[I] may outlive its slot: workers
-  /// with in-flight jobs hold their own references.
-  mutable std::mutex ConnMu;
-  std::vector<std::thread> ConnThreads;
-  std::vector<std::shared_ptr<Connection>> Conns;
-  std::vector<size_t> FinishedSlots;
-  std::vector<size_t> FreeSlots;
-
   mutable std::mutex BackendMu;
   /// Keyed by variant id ("name|plain" / "name|ea<seed>"). The
   /// calibration-seed dimension is client-controlled, so the pool is
@@ -379,16 +361,9 @@ private:
   /// Lock-free latency recording (see ServiceHistograms).
   ServiceHistograms Histos;
 
-  std::mutex StopMu;
-  std::condition_variable StopCv;
-  bool StopRequested = false;
-  std::atomic<bool> Stopping{false};
-  bool Started = false;
-  /// Serializes teardown(): concurrent callers (a wait()er and the
-  /// destructor) must both block until teardown completed, not return
-  /// while the other is still mid-teardown.
-  std::mutex TeardownMu;
-  bool TornDown = false;
+  /// Accepts, reads and writes the client connections, and sequences
+  /// teardown around drain().
+  ConnectionHost Host;
 };
 
 } // namespace service

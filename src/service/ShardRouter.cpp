@@ -8,7 +8,6 @@
 
 #include "service/Client.h"
 #include "service/Metrics.h"
-#include "service/SocketIO.h"
 #include "support/Fingerprint.h"
 #include "support/Log.h"
 #include "support/StringUtils.h"
@@ -110,41 +109,15 @@ void pushSpan(json::Value &Spans, const char *Name, int64_t StartNs,
 
 } // namespace
 
-struct RouterServer::Connection {
-  explicit Connection(int FdIn, size_t NumShards)
-      : Fd(FdIn), Upstreams(NumShards) {}
-  ~Connection() {
+/// The host's client socket and writer plus this connection's own
+/// state: its upstreams and the tracked requests.
+struct RouterServer::Connection : HostedConnection {
+  Connection(int Fd, size_t NumShards)
+      : HostedConnection(Fd), Upstreams(NumShards) {}
+  ~Connection() override {
     for (Upstream &Up : Upstreams)
       if (Up.Fd >= 0)
         ::close(Up.Fd);
-    ::close(Fd);
-  }
-  Connection(const Connection &) = delete;
-  Connection &operator=(const Connection &) = delete;
-
-  const int Fd;
-
-  /// Mirrors Server::Connection::send: serialized whole-line writes,
-  /// latched closed on the first failure.
-  bool send(const std::string &Line) {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    if (Closed)
-      return false;
-    if (!sendAll(Fd, Line + "\n", /*MaxSeconds=*/30.0)) {
-      Closed = true;
-      return false;
-    }
-    return true;
-  }
-
-  bool alive() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    return !Closed;
-  }
-
-  void markClosed() {
-    std::lock_guard<std::mutex> Lock(WriteMu);
-    Closed = true;
   }
 
   /// One lazily-opened upstream per shard, owned by this client
@@ -209,10 +182,6 @@ struct RouterServer::Connection {
   /// Set by the reader thread before it severs the upstreams, so the
   /// forwarders' death upcalls know this is teardown, not shard failure.
   std::atomic<bool> TearingDown{false};
-
-private:
-  std::mutex WriteMu;
-  bool Closed = false;
 };
 
 //===----------------------------------------------------------------------===//
@@ -222,13 +191,10 @@ private:
 RouterServer::RouterServer(RouterOptions Options)
     : Options(std::move(Options)) {}
 
-RouterServer::~RouterServer() {
-  requestStop();
-  wait();
-}
+RouterServer::~RouterServer() { stop(); }
 
 Status RouterServer::start() {
-  if (Started)
+  if (Host.started())
     return Status::error("router already started");
   if (Options.Shards.empty())
     return Status::error("router needs at least one --shard address");
@@ -241,18 +207,13 @@ Status RouterServer::start() {
   Endpoint ListenEp;
   if (Status S = parseEndpoint(Options.Listen, ListenEp); !S.ok())
     return S;
-  if (Status S = Acceptor.listen(ListenEp, 64); !S.ok())
-    return S;
-
   if (!Options.MetricsListen.empty()) {
     Endpoint MetricsEp;
     Status S = parseEndpoint(Options.MetricsListen, MetricsEp);
     if (S.ok())
       S = MetricsAcceptor.listen(MetricsEp, 16);
-    if (!S.ok()) {
-      Acceptor.close();
+    if (!S.ok())
       return S;
-    }
   }
 
   Ring.build(Options.Shards, std::max(1u, Options.VirtualNodes));
@@ -260,9 +221,22 @@ Status RouterServer::start() {
   // fails fast and marks it down anyway.
   Alive.assign(Options.Shards.size(), 1);
 
-  Started = true;
   Uptime.reset();
-  AcceptThread = std::thread([this] { acceptLoop(); });
+  ConnectionHooks Hooks;
+  Hooks.Open = [this](int Fd) {
+    return std::make_shared<Connection>(Fd, Options.Shards.size());
+  };
+  Hooks.Line = [this](const std::shared_ptr<HostedConnection> &Conn,
+                      const std::string &Line) {
+    handleLine(std::static_pointer_cast<Connection>(Conn), Line);
+  };
+  Hooks.Closed = [this](const std::shared_ptr<HostedConnection> &Conn) {
+    onConnectionClosed(std::static_pointer_cast<Connection>(Conn));
+  };
+  if (Status S = Host.start(ListenEp, std::move(Hooks)); !S.ok()) {
+    MetricsAcceptor.close();
+    return S;
+  }
   HealthThread = std::thread([this] { healthLoop(); });
   RetryThread = std::thread([this] { retryLoop(); });
   if (MetricsAcceptor.listening())
@@ -270,26 +244,10 @@ Status RouterServer::start() {
   return Status::success();
 }
 
-void RouterServer::requestStop() {
-  {
-    std::lock_guard<std::mutex> Lock(StopMu);
-    StopRequested = true;
-  }
-  StopCv.notify_all();
-}
+void RouterServer::requestStop() { Host.requestStop(); }
 
 void RouterServer::wait(const std::function<bool()> &ExternalStop) {
-  if (!Started)
-    return;
-  {
-    std::unique_lock<std::mutex> Lock(StopMu);
-    while (!StopRequested) {
-      if (ExternalStop && ExternalStop())
-        break;
-      StopCv.wait_for(Lock, std::chrono::milliseconds(200));
-    }
-  }
-  teardown();
+  Host.wait(ExternalStop, [this] { drain(); });
 }
 
 void RouterServer::stop() {
@@ -297,22 +255,12 @@ void RouterServer::stop() {
   wait();
 }
 
-void RouterServer::teardown() {
-  std::lock_guard<std::mutex> TeardownLock(TeardownMu);
-  if (TornDown)
-    return;
-  TornDown = true;
-  Stopping.store(true);
-
-  // Wake both accept loops, and only close the listeners once their
-  // threads no longer read them.
-  Acceptor.wake();
+void RouterServer::drain() {
+  // Wake the metrics accept loop, and only close its listener once the
+  // thread no longer reads it.
   MetricsAcceptor.wake();
-  if (AcceptThread.joinable())
-    AcceptThread.join();
   if (MetricsThread.joinable())
     MetricsThread.join();
-  Acceptor.close();
   MetricsAcceptor.close();
 
   RetryCv.notify_all();
@@ -320,23 +268,6 @@ void RouterServer::teardown() {
     RetryThread.join();
   if (HealthThread.joinable())
     HealthThread.join();
-
-  // Sever the client sockets to unblock the readers; each reader then
-  // tears down its own upstreams and forwarders on the way out.
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (const std::shared_ptr<Connection> &Conn : Conns)
-      if (Conn)
-        ::shutdown(Conn->Fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    ToJoin.swap(ConnThreads);
-  }
-  for (std::thread &T : ToJoin)
-    if (T.joinable())
-      T.join();
 }
 
 std::string RouterServer::metricsBoundAddress() const {
@@ -356,74 +287,11 @@ void RouterServer::markShardDown(size_t Shard) {
 }
 
 //===----------------------------------------------------------------------===//
-// Accept + client connection loops
+// Client connection exit
 //===----------------------------------------------------------------------===//
 
-void RouterServer::acceptLoop() {
-  while (!Stopping.load()) {
-    int Fd = Acceptor.acceptConnection();
-    if (Fd < 0)
-      return;
-    if (Stopping.load()) {
-      ::close(Fd);
-      return;
-    }
-    timeval SendTimeout{};
-    SendTimeout.tv_sec = 10;
-    ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
-                 sizeof(SendTimeout));
-    auto Conn = std::make_shared<Connection>(Fd, Options.Shards.size());
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (size_t Finished : FinishedSlots) {
-      if (ConnThreads[Finished].joinable())
-        ConnThreads[Finished].join();
-      FreeSlots.push_back(Finished);
-    }
-    FinishedSlots.clear();
-
-    size_t Slot;
-    if (!FreeSlots.empty()) {
-      Slot = FreeSlots.back();
-      FreeSlots.pop_back();
-      Conns[Slot] = Conn;
-      ConnThreads[Slot] =
-          std::thread([this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    } else {
-      Slot = Conns.size();
-      Conns.push_back(Conn);
-      ConnThreads.emplace_back(
-          [this, Conn, Slot] { connectionLoop(Conn, Slot); });
-    }
-    {
-      std::lock_guard<std::mutex> CounterLock(CounterMu);
-      ++Counters.Connections;
-    }
-  }
-}
-
-void RouterServer::connectionLoop(std::shared_ptr<Connection> Conn,
-                                  size_t Slot) {
-  std::string Pending;
-  char Buffer[65536];
-  bool Reading = true;
-  while (Reading) {
-    ssize_t N = recvSome(Conn->Fd, Buffer, sizeof(Buffer));
-    if (N <= 0)
-      break;
-    Pending.append(Buffer, static_cast<size_t>(N));
-    std::string Line;
-    while (Reading && popLine(Pending, Line)) {
-      if (Line.empty())
-        continue;
-      bool StopAfterSend = false;
-      handleLine(Conn, Line, StopAfterSend);
-      if (StopAfterSend)
-        requestStop();
-      if (!Conn->alive())
-        Reading = false;
-    }
-  }
-  Conn->markClosed();
+void RouterServer::onConnectionClosed(
+    const std::shared_ptr<Connection> &Conn) {
   Conn->TearingDown.store(true);
 
   // Sever the upstreams; their forwarders observe EOF, see TearingDown,
@@ -455,10 +323,6 @@ void RouterServer::connectionLoop(std::shared_ptr<Connection> Conn,
                                     }),
                      RetryQueue.end());
   }
-
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  Conns[Slot] = nullptr;
-  FinishedSlots.push_back(Slot);
 }
 
 //===----------------------------------------------------------------------===//
@@ -470,22 +334,15 @@ void RouterServer::spawnForwarder(const std::shared_ptr<Connection> &Conn,
   // Caller holds Conn->Mu; the previous forwarder (if any) has already
   // been retired to DeadForwarders.
   Conn->Upstreams[Shard].Forwarder = std::thread([this, Conn, Shard, Fd] {
-    std::string Pending;
-    char Buffer[65536];
-    while (true) {
-      ssize_t N = recvSome(Fd, Buffer, sizeof(Buffer));
-      if (N <= 0)
-        break;
-      Pending.append(Buffer, static_cast<size_t>(N));
-      std::string Frame;
-      while (popLine(Pending, Frame)) {
-        if (Frame.empty())
-          continue;
-        if (isEventFrame(Frame))
-          Conn->send(Frame); // progress/batch_item pass-through.
-        else
-          onShardFinal(Conn, Shard, Frame);
-      }
+    // A shard is a trusted peer whose routed responses may exceed the
+    // request-line bound, so its frames are read unbounded.
+    LineReader Reader;
+    std::string Frame;
+    while (Reader.read(Fd, Frame) == LineReader::Result::Line) {
+      if (isEventFrame(Frame))
+        Conn->send(Frame); // progress/batch_item pass-through.
+      else
+        onShardFinal(Conn, Shard, Frame);
     }
     onUpstreamDown(Conn, Shard);
   });
@@ -569,7 +426,7 @@ void RouterServer::onShardFinal(const std::shared_ptr<Connection> &Conn,
       auto It = Conn->InFlight.find(Id);
       if (It != Conn->InFlight.end() && It->second.OpName == OpName) {
         if (!Ok && ErrorCode == errc::QueueFull &&
-            It->second.Attempts < Options.MaxRetries && !Stopping.load()) {
+            It->second.Attempts < Options.MaxRetries && !Host.stopping()) {
           // Backpressure: park the request and try again later instead
           // of bouncing the rejection to the client.
           It->second.Shard = Connection::ParkedShard;
@@ -704,7 +561,7 @@ void RouterServer::onUpstreamDown(const std::shared_ptr<Connection> &Conn,
       }
     }
   }
-  if (Conn->TearingDown.load() || Stopping.load())
+  if (Conn->TearingDown.load() || Host.stopping())
     return; // Teardown severed the upstream; nothing to save.
 
   markShardDown(Shard);
@@ -890,7 +747,7 @@ void RouterServer::handleCancel(const std::shared_ptr<Connection> &Conn,
 }
 
 void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
-                              const std::string &Line, bool &StopAfterSend) {
+                              const std::string &Line) {
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.Requests;
@@ -919,9 +776,10 @@ void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
     return;
   case Op::Shutdown:
     // Stops the router alone: the shards are independent daemons with
-    // their own operators.
-    StopAfterSend = true;
+    // their own operators. The ack goes out before the stop request, or
+    // teardown could sever the connection ahead of it.
     Conn->send(formatShutdownResponse(Req.Id));
+    requestStop();
     return;
   case Op::Cancel:
     handleCancel(Conn, Req);
@@ -931,7 +789,7 @@ void RouterServer::handleLine(const std::shared_ptr<Connection> &Conn,
     break;
   }
 
-  if (Stopping.load()) {
+  if (Host.stopping()) {
     {
       std::lock_guard<std::mutex> Lock(CounterMu);
       ++Counters.Errors;
@@ -991,9 +849,9 @@ void RouterServer::healthLoop() {
   Backoff.InitialMs = Options.HealthIntervalMs;
   Backoff.MaxMs = std::max<double>(Options.HealthIntervalMs * 8.0, 2000.0);
 
-  while (!Stopping.load()) {
+  while (!Host.stopping()) {
     auto Now = std::chrono::steady_clock::now();
-    for (size_t S = 0; S < N && !Stopping.load(); ++S) {
+    for (size_t S = 0; S < N && !Host.stopping(); ++S) {
       if (Now < NextCheck[S])
         continue;
       bool Healthy = false;
@@ -1033,7 +891,7 @@ void RouterServer::healthLoop() {
 
 void RouterServer::retryLoop() {
   std::unique_lock<std::mutex> Lock(RetryMu);
-  while (!Stopping.load()) {
+  while (!Host.stopping()) {
     if (RetryQueue.empty()) {
       RetryCv.wait_for(Lock, std::chrono::milliseconds(200));
       continue;
@@ -1054,7 +912,7 @@ void RouterServer::retryLoop() {
     RetryQueue.erase(Soonest);
     Lock.unlock();
     if (std::shared_ptr<Connection> Conn = R.Conn.lock();
-        Conn && Conn->alive() && !Stopping.load()) {
+        Conn && Conn->alive() && !Host.stopping()) {
       // Still parked? A cancel may have raced the timer.
       bool StillWanted = false;
       {
@@ -1115,13 +973,13 @@ json::Value RouterServer::statsJson() {
   json::Value RouterObj = json::Value::object();
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
-    RouterObj.set("connections", Counters.Connections);
+    RouterObj.set("connections", Host.connections());
     RouterObj.set("requests", Counters.Requests);
     RouterObj.set("forwarded", Counters.Forwarded);
     RouterObj.set("retries", Counters.Retries);
     RouterObj.set("redispatched", Counters.Redispatched);
     RouterObj.set("unavailable", Counters.Unavailable);
-    RouterObj.set("errors", Counters.Errors);
+    RouterObj.set("errors", Counters.Errors + Host.rejectedLines());
   }
   json::Value Latency = json::Value::object();
   Latency.set("forward", ForwardLatency.toJson());
@@ -1193,7 +1051,7 @@ std::string RouterServer::metricsText() {
 //===----------------------------------------------------------------------===//
 
 void RouterServer::metricsHttpLoop() {
-  while (!Stopping.load()) {
+  while (!Host.stopping()) {
     int Fd = MetricsAcceptor.acceptConnection();
     if (Fd < 0)
       return;

@@ -56,7 +56,6 @@
 #include "support/Error.h"
 #include "support/Timer.h"
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -115,7 +114,6 @@ struct RouterOptions {
 
 /// Router counters, surfaced in the "router" stats section.
 struct RouterCounters {
-  uint64_t Connections = 0;
   uint64_t Requests = 0;
   uint64_t Forwarded = 0;
   uint64_t Retries = 0;
@@ -124,9 +122,9 @@ struct RouterCounters {
   uint64_t Errors = 0;
 };
 
-/// The front daemon. Lifecycle mirrors Server: start() binds and spawns
-/// the accept/health/retry threads, wait() blocks until a shutdown op or
-/// requestStop() and then tears everything down.
+/// The front daemon. Client connections and the stop sequence are a
+/// ConnectionHost's (service/Transport.h), as in Server; drain() joins
+/// the metrics, retry and health threads between the host's two steps.
 class RouterServer {
 public:
   explicit RouterServer(RouterOptions Options);
@@ -141,7 +139,7 @@ public:
   void stop();
 
   /// Canonical client-facing bound address (resolved tcp port).
-  std::string boundAddress() const { return Acceptor.endpoint().str(); }
+  std::string boundAddress() const { return Host.endpoint().str(); }
   /// Bound metrics address, empty when the listener is disabled.
   std::string metricsBoundAddress() const;
 
@@ -156,15 +154,17 @@ public:
 private:
   struct Connection;
 
-  void acceptLoop();
-  void connectionLoop(std::shared_ptr<Connection> Conn, size_t Slot);
   void healthLoop();
   void retryLoop();
   void metricsHttpLoop();
-  void teardown();
+  /// The teardown step between "stop accepting" and "sever connections".
+  void drain();
+  /// The reader's exit: severs and joins the upstreams, drops the
+  /// connection's parked retries.
+  void onConnectionClosed(const std::shared_ptr<Connection> &Conn);
 
   void handleLine(const std::shared_ptr<Connection> &Conn,
-                  const std::string &Line, bool &StopAfterSend);
+                  const std::string &Line);
   /// Dispatches \p Line (a route/batch request) to the shard owning
   /// \p Key, registering the id for retry/re-dispatch when non-empty.
   /// \p Attempts and \p Redispatches carry the request's queue_full
@@ -201,8 +201,6 @@ private:
   HashRing Ring;
   Timer Uptime;
 
-  Listener Acceptor;
-  std::thread AcceptThread;
   Listener MetricsAcceptor;
   std::thread MetricsThread;
 
@@ -227,12 +225,6 @@ private:
   std::vector<PendingRetry> RetryQueue;
   std::thread RetryThread;
 
-  mutable std::mutex ConnMu;
-  std::vector<std::thread> ConnThreads;
-  std::vector<std::shared_ptr<Connection>> Conns;
-  std::vector<size_t> FinishedSlots;
-  std::vector<size_t> FreeSlots;
-
   mutable std::mutex CounterMu;
   RouterCounters Counters;
 
@@ -241,13 +233,8 @@ private:
   /// always on (recording is lock-free).
   LatencyHistogram ForwardLatency;
 
-  std::mutex StopMu;
-  std::condition_variable StopCv;
-  bool StopRequested = false;
-  std::atomic<bool> Stopping{false};
-  bool Started = false;
-  std::mutex TeardownMu;
-  bool TornDown = false;
+  /// The client-facing accept/read/write loops and the stop sequence.
+  ConnectionHost Host;
 };
 
 /// The sharding key: a stable fingerprint of the raw QASM text(s) and

@@ -6,10 +6,12 @@
 
 #include "service/Transport.h"
 
+#include "service/Protocol.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -18,6 +20,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -320,4 +323,257 @@ Status service::connectEndpoint(const Endpoint &Ep, int &Fd) {
     setNoDelay(Sock);
   Fd = Sock;
   return Status::success();
+}
+
+//===----------------------------------------------------------------------===//
+// Stream I/O
+//===----------------------------------------------------------------------===//
+
+bool service::sendAll(int Fd, const std::string &Text, double MaxSeconds) {
+  auto Deadline = std::chrono::steady_clock::time_point::max();
+  if (MaxSeconds > 0)
+    Deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(MaxSeconds));
+  size_t Off = 0;
+  while (Off < Text.size()) {
+    ssize_t N =
+        ::send(Fd, Text.data() + Off, Text.size() - Off, MSG_NOSIGNAL);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    Off += static_cast<size_t>(N);
+    if (Off < Text.size() && std::chrono::steady_clock::now() >= Deadline)
+      return false; // Peer is draining too slowly; treat as gone.
+  }
+  return true;
+}
+
+ssize_t service::recvSome(int Fd, char *Buf, size_t Cap) {
+  while (true) {
+    ssize_t N = ::recv(Fd, Buf, Cap, 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    return N;
+  }
+}
+
+void LineReader::feed(const char *Data, size_t Size) {
+  // Consumed lines leave the buffer before it grows, so each byte is
+  // moved at most once.
+  if (Start > 0) {
+    Buf.erase(0, Start);
+    Scanned -= Start;
+    Start = 0;
+  }
+  Buf.append(Data, Size);
+}
+
+LineReader::Result LineReader::pop(std::string &Line) {
+  while (true) {
+    size_t Nl = Buf.find('\n', Scanned);
+    if (Nl == std::string::npos) {
+      Scanned = Buf.size();
+      // A trailing '\r' may be the first half of a "\r\n" ending.
+      size_t Len = Buf.size() - Start;
+      if (Len > 0 && Buf.back() == '\r')
+        --Len;
+      if (MaxLineBytes > 0 && Len > MaxLineBytes)
+        return Result::TooLong;
+      return Result::NeedMore;
+    }
+    size_t Begin = Start;
+    size_t Len = Nl - Begin;
+    if (Len > 0 && Buf[Nl - 1] == '\r')
+      --Len;
+    if (MaxLineBytes > 0 && Len > MaxLineBytes)
+      return Result::TooLong;
+    Start = Scanned = Nl + 1;
+    if (Len > 0) {
+      Line.assign(Buf, Begin, Len);
+      return Result::Line;
+    }
+  }
+}
+
+LineReader::Result LineReader::read(int Fd, std::string &Line) {
+  char Chunk[65536];
+  while (true) {
+    Result R = pop(Line);
+    if (R != Result::NeedMore)
+      return R;
+    ssize_t N = recvSome(Fd, Chunk, sizeof(Chunk));
+    if (N < 0)
+      return Result::Error;
+    if (N == 0)
+      return Result::Eof;
+    feed(Chunk, static_cast<size_t>(N));
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// HostedConnection
+//===----------------------------------------------------------------------===//
+
+HostedConnection::~HostedConnection() { ::close(Fd); }
+
+bool HostedConnection::send(const std::string &Line) {
+  std::lock_guard<std::mutex> Lock(WriteMu);
+  if (Closed)
+    return false;
+  if (!sendAll(Fd, Line + "\n", /*MaxSeconds=*/30.0)) {
+    Closed = true;
+    return false;
+  }
+  return true;
+}
+
+bool HostedConnection::alive() {
+  std::lock_guard<std::mutex> Lock(WriteMu);
+  return !Closed;
+}
+
+void HostedConnection::markClosed() {
+  std::lock_guard<std::mutex> Lock(WriteMu);
+  Closed = true;
+}
+
+//===----------------------------------------------------------------------===//
+// ConnectionHost
+//===----------------------------------------------------------------------===//
+
+Status ConnectionHost::start(const Endpoint &Ep, ConnectionHooks NewHooks) {
+  if (Status S = Acceptor.listen(Ep, 64); !S.ok())
+    return S;
+  Hooks = std::move(NewHooks);
+  Started = true;
+  AcceptThread = std::thread([this] { acceptLoop(); });
+  return Status::success();
+}
+
+void ConnectionHost::requestStop() {
+  {
+    std::lock_guard<std::mutex> Lock(StopMu);
+    StopRequested = true;
+  }
+  StopCv.notify_all();
+}
+
+void ConnectionHost::wait(const std::function<bool()> &ExternalStop,
+                          const std::function<void()> &Drain) {
+  if (!Started)
+    return;
+  {
+    std::unique_lock<std::mutex> Lock(StopMu);
+    while (!StopRequested) {
+      if (ExternalStop && ExternalStop())
+        break;
+      StopCv.wait_for(Lock, std::chrono::milliseconds(200));
+    }
+  }
+  teardown(Drain);
+}
+
+void ConnectionHost::teardown(const std::function<void()> &Drain) {
+  // Concurrent callers (a wait()er and the destructor) all block until
+  // teardown completed, not return while another is still mid-teardown.
+  std::lock_guard<std::mutex> TeardownLock(TeardownMu);
+  if (TornDown)
+    return;
+  TornDown = true;
+  stopAccepting();
+  // The daemon's own step, while every connection can still be written.
+  if (Drain)
+    Drain();
+  closeConnections();
+}
+
+void ConnectionHost::stopAccepting() {
+  Stopping.store(true);
+  // Unblock accept(), and only close the listener (unlinking a unix
+  // socket file) once the accept thread no longer reads it.
+  Acceptor.wake();
+  if (AcceptThread.joinable())
+    AcceptThread.join();
+  Acceptor.close();
+}
+
+void ConnectionHost::closeConnections() {
+  // Sever the connections to unblock their readers, then join them.
+  std::vector<std::thread> ToJoin;
+  {
+    std::lock_guard<std::mutex> Lock(SlotMu);
+    for (Slot &S : Slots) {
+      if (S.Conn)
+        ::shutdown(S.Conn->Fd, SHUT_RDWR);
+      if (S.Reader.joinable())
+        ToJoin.push_back(std::move(S.Reader));
+    }
+  }
+  for (std::thread &T : ToJoin)
+    T.join();
+}
+
+void ConnectionHost::acceptLoop() {
+  while (!Stopping.load()) {
+    int Fd = Acceptor.acceptConnection();
+    if (Fd < 0)
+      return; // Listener closed (teardown) or fatal; either way, stop.
+    if (Stopping.load()) {
+      ::close(Fd);
+      return;
+    }
+    // Responses may be written by other threads: a peer that stops
+    // reading while it is owed data must not pin them (or the writer
+    // mutex) forever. Bound every blocking send; a timed-out send fails
+    // and latches the connection closed — the peer is treated as gone.
+    timeval SendTimeout{};
+    SendTimeout.tv_sec = 10;
+    ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &SendTimeout,
+                 sizeof(SendTimeout));
+    std::shared_ptr<HostedConnection> Conn = Hooks.Open(Fd);
+    std::lock_guard<std::mutex> Lock(SlotMu);
+    // Reap readers that finished since the last accept: they have
+    // already vacated their slot, so the join returns promptly.
+    for (size_t Finished : FinishedSlots)
+      if (Slots[Finished].Reader.joinable())
+        Slots[Finished].Reader.join();
+    size_t Index = Slots.size();
+    if (!FinishedSlots.empty()) {
+      Index = FinishedSlots.back();
+      FinishedSlots.pop_back();
+    } else {
+      Slots.emplace_back();
+    }
+    Slots[Index].Conn = Conn;
+    Slots[Index].Reader =
+        std::thread([this, Conn, Index] { serve(Conn, Index); });
+    Connections.fetch_add(1);
+  }
+}
+
+void ConnectionHost::serve(const std::shared_ptr<HostedConnection> &Conn,
+                           size_t Index) {
+  LineReader Reader(MaxRequestLineBytes);
+  std::string Line;
+  LineReader::Result R;
+  while ((R = Reader.read(Conn->Fd, Line)) == LineReader::Result::Line) {
+    Hooks.Line(Conn, Line);
+    if (!Conn->alive())
+      break;
+  }
+  if (R == LineReader::Result::TooLong) {
+    RejectedLines.fetch_add(1);
+    Conn->send(formatErrorResponse("unknown", "", errc::BadRequest,
+                                   "request line too large"));
+  }
+  Conn->markClosed();
+  Hooks.Closed(Conn);
+  // Vacate the slot under the lock teardown iterates under, then report
+  // it finished so the accept loop joins this thread and recycles it.
+  std::lock_guard<std::mutex> Lock(SlotMu);
+  Slots[Index].Conn = nullptr;
+  FinishedSlots.push_back(Index);
 }

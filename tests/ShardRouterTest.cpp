@@ -10,8 +10,9 @@
 /// stats-to-Prometheus walker and the fleet stats merge, and a
 /// two-daemon integration suite — byte-identical routed responses
 /// through the router, shard-sticky cache hits, backpressure-aware
-/// queue_full retries, degraded-but-serving after a shard dies, and the
-/// aggregated metrics/stats surfaces.
+/// queue_full retries, degraded-but-serving after a shard dies, the
+/// router's request-line bound, and the aggregated metrics/stats
+/// surfaces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,6 @@
 #include "service/Protocol.h"
 #include "service/Server.h"
 #include "service/ShardRouter.h"
-#include "service/SocketIO.h"
 #include "service/Transport.h"
 
 #include "qasm/Printer.h"
@@ -43,6 +43,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 using namespace qlosure;
@@ -713,18 +715,15 @@ struct CrashingShard {
   }
 
   void serve(int Fd) {
-    std::string Pending, Line;
-    char Buf[4096];
-    for (ssize_t N; (N = recvSome(Fd, Buf, sizeof(Buf))) > 0;) {
-      Pending.append(Buf, static_cast<size_t>(N));
-      while (popLine(Pending, Line)) {
-        json::ParseResult Req = json::parse(Line);
-        if (Req.Ok && Req.V.get("op")->asString() == "route") {
-          ++RouteLines;
-          return; // The caller closes the connection.
-        }
-        sendAll(Fd, formatPingResponse("") + "\n");
+    LineReader Reader;
+    std::string Line;
+    while (Reader.read(Fd, Line) == LineReader::Result::Line) {
+      json::ParseResult Req = json::parse(Line);
+      if (Req.Ok && Req.V.get("op")->asString() == "route") {
+        ++RouteLines;
+        return; // The caller closes the connection.
       }
+      sendAll(Fd, formatPingResponse("") + "\n");
     }
   }
 };
@@ -766,6 +765,45 @@ TEST(ShardRouterTest, OrphanIsRedispatchedOnceThenAnswersUnavailable) {
   }();
   Router.requestStop();
   Waiter.join();
+}
+
+TEST(ShardRouterTest,
+     OversizedLineGetsBadRequestThenCloseAndRouterKeepsServing) {
+  FleetFixture Fleet(1);
+  Endpoint Ep;
+  ASSERT_TRUE(parseEndpoint(Fleet.Router->boundAddress(), Ep).ok());
+  int Fd = -1;
+  ASSERT_TRUE(connectEndpoint(Ep, Fd).ok());
+  // A router that never answers fails the read below instead of hanging.
+  timeval Timeout{};
+  Timeout.tv_sec = 30;
+  ASSERT_EQ(::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout,
+                         sizeof(Timeout)),
+            0);
+
+  // One byte over the bound, newline withheld.
+  const std::string Head = "{\"op\":\"ping\",\"pad\":\"";
+  ASSERT_TRUE(sendAll(
+      Fd, Head + std::string(MaxRequestLineBytes + 1 - Head.size(), 'x')));
+  LineReader Reader;
+  std::string Line;
+  ASSERT_EQ(Reader.read(Fd, Line), LineReader::Result::Line)
+      << "no answer to an oversized request line";
+  EXPECT_EQ(Line, formatErrorResponse("unknown", "", errc::BadRequest,
+                                      "request line too large"));
+  EXPECT_EQ(Reader.read(Fd, Line), LineReader::Result::Eof)
+      << "the connection must close after the rejection";
+  ::close(Fd);
+
+  Client Conn = Fleet.connect();
+  std::string Response;
+  ASSERT_TRUE(Conn.request("{\"op\":\"ping\"}", Response).ok());
+  EXPECT_TRUE(responseOk(parseResponse(Response))) << Response;
+  // The rejection is counted like any other error response.
+  ASSERT_TRUE(Conn.request("{\"op\":\"stats\"}", Response).ok());
+  json::Value Doc = parseResponse(Response);
+  ASSERT_TRUE(responseOk(Doc)) << Response;
+  EXPECT_EQ(Doc.get("router")->get("errors")->asNumber(), 1) << Response;
 }
 
 TEST(ShardRouterTest, CancelOfUnknownIdAcksLocally) {

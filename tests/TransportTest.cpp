@@ -5,20 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the transport seam (service/Transport.h) and the SocketIO
-/// framing discipline it rides on: endpoint-address parsing, the
+/// Tests for the transport seam (service/Transport.h) and the stream
+/// framing discipline it owns: endpoint-address parsing, the
 /// bounded-exponential BackoffPolicy, listener/connect round trips over
 /// both transports, EINTR resilience of the recv/send loops under a
 /// deliberate signal storm, partial-write completion under a tiny
-/// SO_SNDBUF, and the request-line size boundary of the server framing
-/// layer (exactly-at-limit accepted, one-over rejected) on both unix:
-/// and tcp: endpoints.
+/// SO_SNDBUF, the LineReader's framing, and the request-line size
+/// boundary of the connection host (exactly-at-limit accepted,
+/// one-over rejected) on both unix: and tcp: endpoints.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "service/Client.h"
 #include "service/Server.h"
-#include "service/SocketIO.h"
 #include "service/Transport.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -30,6 +29,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <pthread.h>
 #include <sys/socket.h>
@@ -140,13 +140,8 @@ void roundTripOver(const Endpoint &Ep) {
   std::thread Echo([&] {
     int Fd = Acceptor.acceptConnection();
     ASSERT_GE(Fd, 0);
-    std::string Pending, Line;
-    char Buffer[4096];
-    while (!popLine(Pending, Line)) {
-      ssize_t N = recvSome(Fd, Buffer, sizeof(Buffer));
-      ASSERT_GT(N, 0);
-      Pending.append(Buffer, static_cast<size_t>(N));
-    }
+    std::string Line;
+    ASSERT_EQ(LineReader().read(Fd, Line), LineReader::Result::Line);
     EXPECT_TRUE(sendAll(Fd, "echo:" + Line + "\n"));
     ::close(Fd);
   });
@@ -154,13 +149,8 @@ void roundTripOver(const Endpoint &Ep) {
   int Fd = -1;
   ASSERT_TRUE(connectEndpoint(Acceptor.endpoint(), Fd).ok());
   ASSERT_TRUE(sendAll(Fd, "hello over " + Acceptor.endpoint().str() + "\n"));
-  std::string Pending, Line;
-  char Buffer[4096];
-  while (!popLine(Pending, Line)) {
-    ssize_t N = recvSome(Fd, Buffer, sizeof(Buffer));
-    ASSERT_GT(N, 0);
-    Pending.append(Buffer, static_cast<size_t>(N));
-  }
+  std::string Line;
+  ASSERT_EQ(LineReader().read(Fd, Line), LineReader::Result::Line);
   EXPECT_EQ(Line, "echo:hello over " + Acceptor.endpoint().str());
   ::close(Fd);
   Echo.join();
@@ -191,7 +181,7 @@ TEST(TransportTest, ConnectToMissingEndpointFailsCleanly) {
 }
 
 //===----------------------------------------------------------------------===//
-// EINTR and partial-write discipline (SocketIO)
+// EINTR and partial-write discipline
 //===----------------------------------------------------------------------===//
 
 void noopHandler(int) {}
@@ -286,20 +276,105 @@ TEST(TransportTest, SendAllCompletesPartialWritesUnderTinySndbuf) {
 }
 
 //===----------------------------------------------------------------------===//
-// Server framing boundary (both transports)
+// LineReader
 //===----------------------------------------------------------------------===//
 
-/// Reads one line from \p Fd with the shared framing primitives.
-bool readLine(int Fd, std::string &Pending, std::string &Line) {
-  char Buffer[65536];
-  while (!popLine(Pending, Line)) {
-    ssize_t N = recvSome(Fd, Buffer, sizeof(Buffer));
-    if (N <= 0)
-      return false;
-    Pending.append(Buffer, static_cast<size_t>(N));
-  }
-  return true;
+/// Every line \p Reader yields until it needs more bytes.
+std::vector<std::string> popAll(LineReader &Reader) {
+  std::vector<std::string> Lines;
+  std::string Line;
+  while (Reader.pop(Line) == LineReader::Result::Line)
+    Lines.push_back(Line);
+  return Lines;
 }
+
+TEST(TransportTest, LineReaderJoinsALineSplitAcrossManyChunks) {
+  LineReader Reader;
+  const std::string Text = "{\"op\":\"ping\",\"id\":\"split\"}";
+  for (char C : Text) {
+    Reader.feed(&C, 1);
+    EXPECT_TRUE(popAll(Reader).empty());
+  }
+  Reader.feed("\n", 1);
+  EXPECT_EQ(popAll(Reader), std::vector<std::string>{Text});
+}
+
+TEST(TransportTest, LineReaderStripsCrLfAndSkipsEmptyLines) {
+  LineReader Reader;
+  const std::string Text = "first\r\n\n\r\n\nsecond\n\n";
+  Reader.feed(Text.data(), Text.size());
+  EXPECT_EQ(popAll(Reader), (std::vector<std::string>{"first", "second"}));
+  std::string Line;
+  EXPECT_EQ(Reader.pop(Line), LineReader::Result::NeedMore);
+}
+
+TEST(TransportTest, LineReaderYieldsSeveralLinesFromOneChunk) {
+  LineReader Reader;
+  const std::string Text = "a\nbb\nccc\ndd";
+  Reader.feed(Text.data(), Text.size());
+  EXPECT_EQ(popAll(Reader), (std::vector<std::string>{"a", "bb", "ccc"}));
+  // The unterminated tail waits for the rest of its line.
+  Reader.feed("d\n", 2);
+  EXPECT_EQ(popAll(Reader), std::vector<std::string>{"ddd"});
+}
+
+TEST(TransportTest, LineReaderBoundAcceptsExactlyTheBoundAndRejectsEarly) {
+  const size_t Bound = 16;
+  {
+    LineReader Reader(Bound);
+    std::string AtBound(Bound, 'x');
+    Reader.feed(AtBound.data(), AtBound.size());
+    std::string Line;
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::NeedMore);
+    // A "\r\n" ending split between reads does not count against it.
+    Reader.feed("\r", 1);
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::NeedMore);
+    Reader.feed("\n", 1);
+    ASSERT_EQ(Reader.pop(Line), LineReader::Result::Line);
+    EXPECT_EQ(Line, AtBound);
+  }
+  {
+    // One byte over, and no newline yet: rejected without waiting for
+    // one, so the buffer stays bounded.
+    LineReader Reader(Bound);
+    std::string Over(Bound + 1, 'x');
+    Reader.feed(Over.data(), Over.size());
+    std::string Line;
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::TooLong);
+  }
+  {
+    // The bound is per line: a full line before an over-long one is
+    // still delivered.
+    LineReader Reader(Bound);
+    std::string Text = "ping\n" + std::string(Bound + 1, 'x') + "\n";
+    Reader.feed(Text.data(), Text.size());
+    std::string Line;
+    ASSERT_EQ(Reader.pop(Line), LineReader::Result::Line);
+    EXPECT_EQ(Line, "ping");
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::TooLong);
+  }
+}
+
+TEST(TransportTest, LineReaderReadsFromASocketUntilEof) {
+  int Pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);
+  ASSERT_TRUE(sendAll(Pair[1], "one\r\ntwo\npartial"));
+  ::shutdown(Pair[1], SHUT_WR);
+  LineReader Reader;
+  std::string Line;
+  ASSERT_EQ(Reader.read(Pair[0], Line), LineReader::Result::Line);
+  EXPECT_EQ(Line, "one");
+  ASSERT_EQ(Reader.read(Pair[0], Line), LineReader::Result::Line);
+  EXPECT_EQ(Line, "two");
+  // A partial line at EOF is dropped.
+  EXPECT_EQ(Reader.read(Pair[0], Line), LineReader::Result::Eof);
+  ::close(Pair[0]);
+  ::close(Pair[1]);
+}
+
+//===----------------------------------------------------------------------===//
+// Connection-host framing boundary (both transports)
+//===----------------------------------------------------------------------===//
 
 /// A ping request padded with an ignored member to exactly \p Bytes
 /// (without the trailing newline).
@@ -314,7 +389,6 @@ void framingBoundaryOver(const std::string &ListenSpec) {
   ServerOptions Opts;
   Opts.Listen = ListenSpec;
   Opts.Workers = 1;
-  Opts.MaxRequestBytes = 4096;
   Server Daemon(Opts);
   ASSERT_TRUE(Daemon.start().ok());
   std::thread Waiter([&] { Daemon.wait(); });
@@ -326,9 +400,9 @@ void framingBoundaryOver(const std::string &ListenSpec) {
     // Exactly at the limit: the line is accepted and answered.
     int Fd = -1;
     ASSERT_TRUE(connectEndpoint(Ep, Fd).ok());
-    ASSERT_TRUE(sendAll(Fd, paddedPing(Opts.MaxRequestBytes) + "\n"));
-    std::string Pending, Line;
-    ASSERT_TRUE(readLine(Fd, Pending, Line));
+    ASSERT_TRUE(sendAll(Fd, paddedPing(MaxRequestLineBytes) + "\n"));
+    std::string Line;
+    ASSERT_EQ(LineReader().read(Fd, Line), LineReader::Result::Line);
     json::ParseResult Parsed = json::parse(Line);
     ASSERT_TRUE(Parsed.Ok) << Line;
     const json::Value *Ok = Parsed.V.get("ok");
@@ -341,9 +415,10 @@ void framingBoundaryOver(const std::string &ListenSpec) {
     // the limit, then close (the stream cannot resynchronize).
     int Fd = -1;
     ASSERT_TRUE(connectEndpoint(Ep, Fd).ok());
-    ASSERT_TRUE(sendAll(Fd, paddedPing(Opts.MaxRequestBytes + 1)));
-    std::string Pending, Line;
-    ASSERT_TRUE(readLine(Fd, Pending, Line));
+    ASSERT_TRUE(sendAll(Fd, paddedPing(MaxRequestLineBytes + 1)));
+    LineReader Reader;
+    std::string Line;
+    ASSERT_EQ(Reader.read(Fd, Line), LineReader::Result::Line);
     json::ParseResult Parsed = json::parse(Line);
     ASSERT_TRUE(Parsed.Ok) << Line;
     const json::Value *Ok = Parsed.V.get("ok");
@@ -353,8 +428,10 @@ void framingBoundaryOver(const std::string &ListenSpec) {
     EXPECT_EQ(Error->get("code")->asString(), "bad_request");
     // EOF follows: the connection is closed after the rejection.
     std::string Rest;
-    EXPECT_FALSE(readLine(Fd, Pending, Rest));
+    EXPECT_EQ(Reader.read(Fd, Rest), LineReader::Result::Eof);
     ::close(Fd);
+    json::Value Stats = Daemon.statsJson();
+    EXPECT_EQ(Stats.get("server")->get("errors")->asNumber(), 1);
   }
 
   Daemon.requestStop();
