@@ -81,7 +81,15 @@ Circuit Circuit::withoutNonUnitaries() const {
 }
 
 Circuit Circuit::decomposeThreeQubitGates() const {
+  // Sized exactly: the result is what a routing context (and so the
+  // context cache) keeps for as long as it lives.
+  size_t Size = 0;
+  for (const Gate &G : Gates)
+    Size += G.Kind == GateKind::CCX     ? 15
+            : G.Kind == GateKind::CSwap ? 17
+                                        : 1;
   Circuit Result(NumQubits, Name);
+  Result.Gates.reserve(Size);
   for (const Gate &G : Gates) {
     if (G.Kind == GateKind::CCX) {
       int32_t A = G.Qubits[0], B = G.Qubits[1], C = G.Qubits[2];

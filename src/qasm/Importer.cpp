@@ -7,6 +7,7 @@
 #include "qasm/Importer.h"
 
 #include "qasm/Parser.h"
+#include "route/Cancellation.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -65,7 +66,8 @@ const std::map<std::string, BuiltinGate> &builtinGates() {
 
 class ImporterImpl {
 public:
-  explicit ImporterImpl(const Program &Prog) : Prog(Prog) {}
+  ImporterImpl(const Program &Prog, const CancellationToken *Cancel)
+      : Prog(Prog), Cancel(Cancel) {}
 
   ImportResult run(const std::string &Name) {
     // Pass 1: collect registers and user gate definitions.
@@ -144,6 +146,7 @@ private:
     ImportResult Result;
     Result.Error = Message;
     Result.OverBudget = OverBudget;
+    Result.Cancelled = Cancelled;
     return Result;
   }
 
@@ -164,6 +167,10 @@ private:
   bool addGate(Circuit &Circ, const Gate &G) {
     if (Emitted >= MaxImportGates)
       return gateBudgetExceeded();
+    if (Cancel && Emitted % 4096 == 0 && Cancel->cancelled()) {
+      Cancelled = true;
+      return setError("import cancelled");
+    }
     ++Emitted;
     Circ.addGate(G);
     return true;
@@ -336,6 +343,7 @@ private:
   }
 
   const Program &Prog;
+  const CancellationToken *Cancel;
   std::map<std::string, unsigned> QregBase;
   std::map<std::string, unsigned> QregSize;
   std::map<std::string, const GateDef *> UserGates;
@@ -343,22 +351,26 @@ private:
   uint64_t Emitted = 0;
   std::string ErrorMessage;
   bool OverBudget = false;
+  bool Cancelled = false;
 };
 
 } // namespace
 
-ImportResult qasm::importProgram(const Program &Prog,
-                                 const std::string &Name) {
-  return ImporterImpl(Prog).run(Name);
+ImportResult qasm::importProgram(const Program &Prog, const std::string &Name,
+                                 const CancellationToken *Cancel) {
+  return ImporterImpl(Prog, Cancel).run(Name);
 }
 
 ImportResult qasm::importQasm(const std::string &Source,
-                              const std::string &Name) {
-  ParseResult Parsed = parseQasm(Source);
+                              const std::string &Name,
+                              const CancellationToken *Cancel) {
+  ParseResult Parsed = parseQasm(Source, Cancel);
   if (!Parsed.succeeded()) {
     ImportResult Result;
     Result.Error = Parsed.Error;
+    // The token latches, so a fired one means the parse stopped for it.
+    Result.Cancelled = Cancel && Cancel->cancelled();
     return Result;
   }
-  return importProgram(*Parsed.Prog, Name);
+  return importProgram(*Parsed.Prog, Name, Cancel);
 }

@@ -11,7 +11,9 @@
 /// broadcasting, and evaluates parameter expressions. Imports are bounded:
 /// a program that declares or expands to more than a fixed budget of
 /// qubits or gates fails with ImportResult::OverBudget before it can
-/// exhaust memory or time.
+/// exhaust memory or time. An import can also be bounded from outside:
+/// given a CancellationToken, lexing, parsing and lowering poll it and
+/// stop with ImportResult::Cancelled once it fires.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,9 @@
 #include <string>
 
 namespace qlosure {
+
+class CancellationToken;
+
 namespace qasm {
 
 /// Outcome of an import: exactly one of Circ/Error is meaningful.
@@ -34,16 +39,21 @@ struct ImportResult {
   /// The program is well formed but exceeds the import budget (declared
   /// qubits or emitted gates, see Importer.cpp); Error says which.
   bool OverBudget = false;
+  /// The CancellationToken fired before the import finished.
+  bool Cancelled = false;
 
   bool succeeded() const { return Circ.has_value(); }
 };
 
-/// Lowers \p Prog to a Circuit named \p Name.
-ImportResult importProgram(const Program &Prog, const std::string &Name = "");
+/// Lowers \p Prog to a Circuit named \p Name, polling \p Cancel (when
+/// set) every few thousand emitted gates.
+ImportResult importProgram(const Program &Prog, const std::string &Name = "",
+                           const CancellationToken *Cancel = nullptr);
 
-/// Convenience: parse + import in one step.
+/// Convenience: parse + import in one step, both polling \p Cancel.
 ImportResult importQasm(const std::string &Source,
-                        const std::string &Name = "");
+                        const std::string &Name = "",
+                        const CancellationToken *Cancel = nullptr);
 
 } // namespace qasm
 } // namespace qlosure

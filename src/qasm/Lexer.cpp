@@ -6,6 +6,8 @@
 
 #include "qasm/Lexer.h"
 
+#include "route/Cancellation.h"
+
 #include <cctype>
 
 using namespace qlosure;
@@ -15,11 +17,20 @@ namespace {
 
 class LexerImpl {
 public:
-  explicit LexerImpl(const std::string &Source) : Source(Source) {}
+  LexerImpl(const std::string &Source, const CancellationToken *Cancel)
+      : Source(Source), Cancel(Cancel) {}
 
   std::vector<Token> run() {
     std::vector<Token> Tokens;
     for (;;) {
+      if (Cancel && Tokens.size() % 4096 == 0 && Cancel->cancelled()) {
+        Token T;
+        T.Text = "import cancelled";
+        T.Line = Line;
+        T.Column = Column;
+        Tokens.push_back(std::move(T));
+        break;
+      }
       Token T = next();
       bool Done = T.is(TokenKind::EndOfFile) || T.is(TokenKind::Error);
       Tokens.push_back(std::move(T));
@@ -182,6 +193,7 @@ private:
   }
 
   const std::string &Source;
+  const CancellationToken *Cancel;
   size_t Pos = 0;
   unsigned Line = 1;
   unsigned Column = 1;
@@ -189,6 +201,7 @@ private:
 
 } // namespace
 
-std::vector<Token> qasm::tokenize(const std::string &Source) {
-  return LexerImpl(Source).run();
+std::vector<Token> qasm::tokenize(const std::string &Source,
+                                  const CancellationToken *Cancel) {
+  return LexerImpl(Source, Cancel).run();
 }

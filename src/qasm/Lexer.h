@@ -18,6 +18,9 @@
 #include <vector>
 
 namespace qlosure {
+
+class CancellationToken;
+
 namespace qasm {
 
 enum class TokenKind : uint8_t {
@@ -58,7 +61,10 @@ struct Token {
 
 /// Tokenizes \p Source. On a lexical error the stream ends with an Error
 /// token whose Text holds the message; otherwise it ends with EndOfFile.
-std::vector<Token> tokenize(const std::string &Source);
+/// \p Cancel, when set, is polled every few thousand tokens; once it
+/// fires the stream ends early with an Error token.
+std::vector<Token> tokenize(const std::string &Source,
+                            const CancellationToken *Cancel = nullptr);
 
 } // namespace qasm
 } // namespace qlosure

@@ -7,6 +7,7 @@
 #include "qasm/Parser.h"
 
 #include "qasm/Lexer.h"
+#include "route/Cancellation.h"
 #include "support/StringUtils.h"
 
 #include <cstdlib>
@@ -18,7 +19,8 @@ namespace {
 
 class ParserImpl {
 public:
-  explicit ParserImpl(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {}
+  ParserImpl(std::vector<Token> Tokens, const CancellationToken *Cancel)
+      : Tokens(std::move(Tokens)), Cancel(Cancel) {}
 
   ParseResult run() {
     Program Prog;
@@ -27,6 +29,8 @@ public:
     while (!peek().is(TokenKind::EndOfFile)) {
       if (peek().is(TokenKind::Error))
         return error(peek(), peek().Text), fail();
+      if (Cancel && Prog.Statements.size() % 256 == 0 && Cancel->cancelled())
+        return error(peek(), "import cancelled"), fail();
       if (!parseStatement(Prog))
         return fail();
     }
@@ -484,6 +488,7 @@ private:
   }
 
   std::vector<Token> Tokens;
+  const CancellationToken *Cancel;
   size_t Pos = 0;
   std::string ErrorMessage;
   unsigned ExprDepth = 0;
@@ -491,6 +496,7 @@ private:
 
 } // namespace
 
-ParseResult qasm::parseQasm(const std::string &Source) {
-  return ParserImpl(tokenize(Source)).run();
+ParseResult qasm::parseQasm(const std::string &Source,
+                            const CancellationToken *Cancel) {
+  return ParserImpl(tokenize(Source, Cancel), Cancel).run();
 }

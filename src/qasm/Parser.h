@@ -18,6 +18,9 @@
 #include <string>
 
 namespace qlosure {
+
+class CancellationToken;
+
 namespace qasm {
 
 /// Outcome of a parse: exactly one of Program/Error is meaningful.
@@ -30,7 +33,10 @@ struct ParseResult {
 
 /// Parses OpenQASM 2.0 source text. `include "qelib1.inc";` is recognized
 /// and recorded; the standard gates are built in, so no file access occurs.
-ParseResult parseQasm(const std::string &Source);
+/// \p Cancel, when set, is polled while lexing and every few hundred
+/// statements; once it fires the parse fails early.
+ParseResult parseQasm(const std::string &Source,
+                      const CancellationToken *Cancel = nullptr);
 
 } // namespace qasm
 } // namespace qlosure

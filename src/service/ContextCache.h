@@ -23,6 +23,12 @@
 ///    re-running the mapper — verified end-to-end by
 ///    bench_service_throughput.
 ///
+///  * AliasCache maps a raw-text key (the request's QASM bytes x backend x
+///    mapper config) to the canonical ResultCache key of the circuit those
+///    bytes import to, so a repeat of identical bytes finds its result
+///    without importing. A separate instance: an alias key can never be
+///    mistaken for a result key.
+///
 /// Threading/ownership contract: every public member is safe to call
 /// from any thread — keys are striped over independently locked shards,
 /// so unrelated requests never contend. Values are shared_ptr<const T>
@@ -278,8 +284,17 @@ struct CachedResult {
   size_t approxBytes() const { return sizeof(*this) + RoutedQasm.size(); }
 };
 
+/// A raw-text alias: the canonical result key its bytes import to.
+struct ResultAlias {
+  CacheKey Canonical;
+
+  /// The key and value plus the list and hash node around them.
+  size_t approxBytes() const { return 2 * sizeof(CacheKey) + 64; }
+};
+
 using ContextCache = ShardedLruCache<CachedContext>;
 using ResultCache = ShardedLruCache<CachedResult>;
+using AliasCache = ShardedLruCache<ResultAlias>;
 
 } // namespace service
 } // namespace qlosure

@@ -7,8 +7,9 @@
 /// \file
 /// Single-flight coalescing for routed requests: routed results are
 /// deterministic and content-keyed, so when an identical request (same
-/// CacheKey — circuit x backend x mapper-config fingerprints) arrives
-/// while one is already routing, running it again buys nothing. The
+/// CacheKey — the daemon keys flights on the raw-text key: QASM bytes x
+/// backend x mapper-config fingerprints) arrives while one is already
+/// routing, running it again buys nothing. The
 /// first request *leads*: it owns the scheduler job. Every later
 /// identical request *follows*: it registers a delivery callback on the
 /// leader's flight and is answered from the leader's outcome — one

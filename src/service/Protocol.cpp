@@ -270,7 +270,7 @@ std::string routedFrame(json::Value Obj, const std::string &Mapper,
                         const std::string &Backend, const RouteStats &Stats,
                         bool ContextCacheHit, bool ResultCacheHit,
                         const std::string &Qasm, bool IncludeQasm,
-                        const json::Value *TraceJson, bool Coalesced) {
+                        bool Coalesced) {
   Obj.set("mapper", Mapper);
   Obj.set("backend", Backend);
   Obj.set("stats", routeStatsToJson(Stats));
@@ -279,8 +279,6 @@ std::string routedFrame(json::Value Obj, const std::string &Mapper,
   Obj.set("result_cache_hit", ResultCacheHit);
   if (Coalesced)
     Obj.set("coalesced", true);
-  if (TraceJson)
-    Obj.set("trace", *TraceJson);
   if (IncludeQasm)
     Obj.set("qasm", Qasm);
   return Obj.dump();
@@ -292,10 +290,20 @@ std::string service::formatRouteResponse(
     const std::string &Id, const std::string &Mapper,
     const std::string &Backend, const RouteStats &Stats, bool ContextCacheHit,
     bool ResultCacheHit, const std::string &Qasm, bool IncludeQasm,
-    const json::Value *TraceJson, bool Coalesced) {
+    bool Coalesced) {
   return routedFrame(responseHead("route", Id, true), Mapper, Backend, Stats,
                      ContextCacheHit, ResultCacheHit, Qasm, IncludeQasm,
-                     TraceJson, Coalesced);
+                     Coalesced);
+}
+
+void service::appendTraceMember(std::string &Frame,
+                                const json::Value &TraceJson) {
+  // Every frame is a non-empty object: swap its closing brace for the
+  // new member.
+  Frame.pop_back();
+  Frame += ",\"trace\":";
+  Frame += TraceJson.dump();
+  Frame += '}';
 }
 
 std::string service::formatStatsResponse(const std::string &Id,
@@ -359,11 +367,10 @@ std::string service::formatBatchItemResult(
     const std::string &Id, size_t Index, const std::string &Name,
     const std::string &Mapper, const std::string &Backend,
     const RouteStats &Stats, bool ContextCacheHit, bool ResultCacheHit,
-    const std::string &Qasm, bool IncludeQasm,
-    const json::Value *TraceJson, bool Coalesced) {
+    const std::string &Qasm, bool IncludeQasm, bool Coalesced) {
   return routedFrame(batchItemHead(Id, Index, Name), Mapper, Backend, Stats,
                      ContextCacheHit, ResultCacheHit, Qasm, IncludeQasm,
-                     TraceJson, Coalesced);
+                     Coalesced);
 }
 
 std::string service::formatBatchItemError(const std::string &Id, size_t Index,

@@ -188,18 +188,20 @@ std::string formatPingResponse(const std::string &Id);
 std::string formatErrorResponse(const char *Op, const std::string &Id,
                                 const std::string &Code,
                                 const std::string &Message);
-/// \p TraceJson, when non-null, is attached as the response's "trace"
-/// member (the Trace::toJson document of a traced request). \p Coalesced
-/// marks a response answered from another identical request's in-flight
-/// route (the response then carries "coalesced":true; absent otherwise).
+/// \p Coalesced marks a response answered from another identical
+/// request's in-flight route (the response then carries
+/// "coalesced":true; absent otherwise). A traced answer gets its "trace"
+/// member from appendTraceMember afterwards.
 std::string formatRouteResponse(const std::string &Id,
                                 const std::string &Mapper,
                                 const std::string &Backend,
                                 const RouteStats &Stats, bool ContextCacheHit,
                                 bool ResultCacheHit, const std::string &Qasm,
-                                bool IncludeQasm,
-                                const json::Value *TraceJson = nullptr,
-                                bool Coalesced = false);
+                                bool IncludeQasm, bool Coalesced = false);
+/// Appends \p TraceJson (a Trace::toJson document) to the JSON object
+/// line \p Frame as its last member, "trace". The trace is serialized
+/// after the rest of the frame, so it can carry the span that encoded it.
+void appendTraceMember(std::string &Frame, const json::Value &TraceJson);
 /// `stats` responses carry an arbitrary server-assembled object.
 std::string formatStatsResponse(const std::string &Id,
                                 const json::Value &Body);
@@ -227,7 +229,6 @@ std::string formatBatchItemResult(const std::string &Id, size_t Index,
                                   const RouteStats &Stats,
                                   bool ContextCacheHit, bool ResultCacheHit,
                                   const std::string &Qasm, bool IncludeQasm,
-                                  const json::Value *TraceJson = nullptr,
                                   bool Coalesced = false);
 
 /// A `batch_item` event frame for an item that failed (or was cancelled /

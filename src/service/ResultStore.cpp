@@ -26,11 +26,14 @@ namespace {
 constexpr uint32_t FileMagic = 0x52545351;  // "QSTR" little-endian.
 constexpr uint32_t FileVersion = 1;
 constexpr uint32_t FrameMagic = 0x43455251; // "QREC" little-endian.
+constexpr uint32_t AliasMagic = 0x534C4151; // "QALS" little-endian.
 constexpr size_t FileHeaderSize = 16;
 constexpr size_t FrameHeaderSize = 16; // magic u32 + len u32 + checksum u64.
 /// CacheKey (3 x u64) + five u64 counters + two double bit patterns +
 /// one flags byte.
 constexpr size_t PayloadHeadSize = 3 * 8 + 5 * 8 + 2 * 8 + 1;
+/// An alias payload: the alias key and the canonical key (6 x u64).
+constexpr size_t AliasPayloadSize = 6 * 8;
 /// A declared payload larger than this is treated as corruption, not as
 /// a record (the daemon caps request lines at 64 MiB; a frame cannot
 /// legitimately be bigger than a request).
@@ -46,6 +49,32 @@ template <typename T> T getRaw(const uint8_t *Data) {
   T Value;
   std::memcpy(&Value, Data, sizeof(T));
   return Value;
+}
+
+bool isFrameMagic(uint32_t Magic) {
+  return Magic == FrameMagic || Magic == AliasMagic;
+}
+
+void putKey(std::string &Out, const CacheKey &Key) {
+  putRaw<uint64_t>(Out, Key.CircuitFp);
+  putRaw<uint64_t>(Out, Key.BackendFp);
+  putRaw<uint64_t>(Out, Key.ConfigFp);
+}
+
+CacheKey getKey(const uint8_t *Data) {
+  return CacheKey{getRaw<uint64_t>(Data), getRaw<uint64_t>(Data + 8),
+                  getRaw<uint64_t>(Data + 16)};
+}
+
+/// Frame header + \p Payload.
+std::string frameBytes(uint32_t Magic, const std::string &Payload) {
+  std::string Frame;
+  Frame.reserve(FrameHeaderSize + Payload.size());
+  putRaw<uint32_t>(Frame, Magic);
+  putRaw<uint32_t>(Frame, static_cast<uint32_t>(Payload.size()));
+  putRaw<uint64_t>(Frame, hashBytes(Payload.data(), Payload.size()));
+  Frame.append(Payload);
+  return Frame;
 }
 
 uint64_t doubleBits(double D) {
@@ -66,9 +95,7 @@ bool decodePayload(const uint8_t *Data, size_t Size, CacheKey &Key,
   if (Size < PayloadHeadSize)
     return false;
   const uint8_t *P = Data;
-  Key.CircuitFp = getRaw<uint64_t>(P); P += 8;
-  Key.BackendFp = getRaw<uint64_t>(P); P += 8;
-  Key.ConfigFp = getRaw<uint64_t>(P); P += 8;
+  Key = getKey(P); P += 24;
   Value.LogicalGates = getRaw<uint64_t>(P); P += 8;
   Value.RoutedGates = getRaw<uint64_t>(P); P += 8;
   Value.Swaps = getRaw<uint64_t>(P); P += 8;
@@ -130,9 +157,7 @@ std::string ResultStore::encodeFrame(const CacheKey &Key,
                                      const CachedResult &Value) {
   std::string Payload;
   Payload.reserve(PayloadHeadSize + Value.RoutedQasm.size());
-  putRaw<uint64_t>(Payload, Key.CircuitFp);
-  putRaw<uint64_t>(Payload, Key.BackendFp);
-  putRaw<uint64_t>(Payload, Key.ConfigFp);
+  putKey(Payload, Key);
   putRaw<uint64_t>(Payload, Value.LogicalGates);
   putRaw<uint64_t>(Payload, Value.RoutedGates);
   putRaw<uint64_t>(Payload, Value.Swaps);
@@ -143,14 +168,16 @@ std::string ResultStore::encodeFrame(const CacheKey &Key,
   Payload.push_back(static_cast<char>((Value.TimedOut ? 1 : 0) |
                                       (Value.Verified ? 2 : 0)));
   Payload.append(Value.RoutedQasm);
+  return frameBytes(FrameMagic, Payload);
+}
 
-  std::string Frame;
-  Frame.reserve(FrameHeaderSize + Payload.size());
-  putRaw<uint32_t>(Frame, FrameMagic);
-  putRaw<uint32_t>(Frame, static_cast<uint32_t>(Payload.size()));
-  putRaw<uint64_t>(Frame, hashBytes(Payload.data(), Payload.size()));
-  Frame.append(Payload);
-  return Frame;
+std::string ResultStore::encodeAliasFrame(const CacheKey &Alias,
+                                          const CacheKey &Canonical) {
+  std::string Payload;
+  Payload.reserve(AliasPayloadSize);
+  putKey(Payload, Alias);
+  putKey(Payload, Canonical);
+  return frameBytes(AliasMagic, Payload);
 }
 
 bool ResultStore::decodeFrame(const void *Data, size_t Size, CacheKey &Key,
@@ -255,7 +282,8 @@ void ResultStore::scanLocked(uint64_t From) {
     uint8_t Head[FrameHeaderSize];
     if (!fullPread(Fd, Head, FrameHeaderSize, Offset))
       break;
-    if (getRaw<uint32_t>(Head) != FrameMagic) {
+    const uint32_t Magic = getRaw<uint32_t>(Head);
+    if (!isFrameMagic(Magic)) {
       // Not a frame boundary: an overwritten stretch. Resynchronize by
       // scanning forward for the next frame magic; everything skipped is
       // corruption, and a magic-less tail is indistinguishable from a
@@ -270,7 +298,7 @@ void ResultStore::scanLocked(uint64_t From) {
         if (!fullPread(Fd, Window.data(), N, Pos))
           break;
         for (size_t I = 0; I + 4 <= N; ++I) {
-          if (getRaw<uint32_t>(Window.data() + I) == FrameMagic) {
+          if (isFrameMagic(getRaw<uint32_t>(Window.data() + I))) {
             Found = Pos + I;
             HaveNext = true;
             break;
@@ -309,18 +337,31 @@ void ResultStore::scanLocked(uint64_t From) {
     uint64_t FrameSize = FrameHeaderSize + PayloadLen;
     CacheKey Key;
     CachedResult Value;
-    if (hashBytes(Buf.data(), Buf.size()) != Checksum ||
-        !decodePayload(Buf.data(), Buf.size(), Key, Value)) {
+    bool Intact = hashBytes(Buf.data(), Buf.size()) == Checksum &&
+                  (Magic == AliasMagic
+                       ? Buf.size() == AliasPayloadSize
+                       : decodePayload(Buf.data(), Buf.size(), Key, Value));
+    if (!Intact) {
       // Bit rot inside an intact frame envelope: skip the whole frame.
       ++Counters.CorruptSkipped;
       Offset += FrameSize;
       ScanEnd = Offset;
       continue;
     }
-    auto It = Index.find(Key);
-    if (It != Index.end())
-      LiveBytes -= It->second.Size; // The duplicate supersedes it.
-    Index[Key] = IndexEntry{Offset, FrameSize};
+    // A duplicate supersedes its predecessor.
+    if (Magic == AliasMagic) {
+      Key = getKey(Buf.data());
+      auto It = Aliases.find(Key);
+      if (It != Aliases.end())
+        LiveBytes -= It->second.Where.Size;
+      Aliases[Key] = AliasEntry{getKey(Buf.data() + 24),
+                                IndexEntry{Offset, FrameSize}};
+    } else {
+      auto It = Index.find(Key);
+      if (It != Index.end())
+        LiveBytes -= It->second.Size;
+      Index[Key] = IndexEntry{Offset, FrameSize};
+    }
     LiveBytes += FrameSize;
     Offset += FrameSize;
     ScanEnd = Offset;
@@ -393,13 +434,55 @@ std::shared_ptr<const CachedResult> ResultStore::get(const CacheKey &Key) {
   return nullptr;
 }
 
+std::optional<CacheKey> ResultStore::getAlias(const CacheKey &Alias) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Aliases.find(Alias);
+    if (It != Aliases.end())
+      return It->second.Canonical;
+    if (!Options.ReadOnly)
+      return std::nullopt;
+  }
+  // Read-only miss: refresh once, as get() does.
+  refresh();
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Aliases.find(Alias);
+  if (It != Aliases.end())
+    return It->second.Canonical;
+  return std::nullopt;
+}
+
 bool ResultStore::put(const CacheKey &Key, const CachedResult &Value) {
   if (Options.ReadOnly)
     return false;
   std::lock_guard<std::mutex> Lock(Mu);
   if (Index.count(Key))
     return true; // Deterministic results: the incumbent is identical.
-  std::string Frame = encodeFrame(Key, Value);
+  std::optional<IndexEntry> Where = appendLocked(encodeFrame(Key, Value));
+  if (!Where)
+    return false;
+  Index[Key] = *Where;
+  compactIfWastefulLocked();
+  return true;
+}
+
+bool ResultStore::putAlias(const CacheKey &Alias, const CacheKey &Canonical) {
+  if (Options.ReadOnly)
+    return false;
+  std::lock_guard<std::mutex> Lock(Mu);
+  if (Aliases.count(Alias))
+    return true; // An alias names one circuit: the incumbent is identical.
+  std::optional<IndexEntry> Where =
+      appendLocked(encodeAliasFrame(Alias, Canonical));
+  if (!Where)
+    return false;
+  Aliases[Alias] = AliasEntry{Canonical, *Where};
+  compactIfWastefulLocked();
+  return true;
+}
+
+std::optional<ResultStore::IndexEntry>
+ResultStore::appendLocked(const std::string &Frame) {
   ssize_t N = ::pwrite(Fd, Frame.data(), Frame.size(),
                        static_cast<off_t>(FileSize));
   if (N != static_cast<ssize_t>(Frame.size())) {
@@ -408,9 +491,9 @@ bool ResultStore::put(const CacheKey &Key, const CachedResult &Value) {
     ++Counters.WriteErrors;
     if (N > 0)
       ::ftruncate(Fd, static_cast<off_t>(FileSize));
-    return false;
+    return std::nullopt;
   }
-  Index[Key] = IndexEntry{FileSize, Frame.size()};
+  IndexEntry Where{FileSize, Frame.size()};
   FileSize += Frame.size();
   ScanEnd = FileSize;
   LiveBytes += Frame.size();
@@ -420,6 +503,10 @@ bool ResultStore::put(const CacheKey &Key, const CachedResult &Value) {
     ::fsync(Fd);
     PendingSyncBytes = 0;
   }
+  return Where;
+}
+
+void ResultStore::compactIfWastefulLocked() {
   // Compact when enough of the file is duplicate/corrupt garbage.
   uint64_t DataBytes = FileSize - FileHeaderSize;
   uint64_t Garbage = DataBytes > LiveBytes ? DataBytes - LiveBytes : 0;
@@ -427,7 +514,6 @@ bool ResultStore::put(const CacheKey &Key, const CachedResult &Value) {
       static_cast<double>(Garbage) >
           Options.CompactGarbageRatio * static_cast<double>(DataBytes))
     compactLocked();
-  return true;
 }
 
 void ResultStore::flush() {
@@ -450,7 +536,6 @@ bool ResultStore::refresh() {
   if (::stat(Options.Path.c_str(), &OnDisk) != 0 ||
       ::fstat(Fd, &Ours) != 0)
     return false;
-  size_t Before = Index.size();
   if (OnDisk.st_ino != Ours.st_ino) {
     // The writer compacted: the path now names a fresh file. Reopen and
     // rescan from scratch (cumulative counters are kept).
@@ -473,16 +558,17 @@ bool ResultStore::refresh() {
     ScanEnd = FileHeaderSize;
     LiveBytes = 0;
     Index.clear();
+    Aliases.clear();
     scanLocked(FileHeaderSize);
-    (void)Before;
     return true; // The whole view changed, not just new records.
   }
   uint64_t OnDiskSize = static_cast<uint64_t>(OnDisk.st_size);
   if (OnDiskSize <= FileSize && ScanEnd >= FileSize)
     return false;
   FileSize = OnDiskSize;
+  size_t Before = Index.size() + Aliases.size();
   scanLocked(ScanEnd);
-  return Index.size() != Before;
+  return Index.size() + Aliases.size() != Before;
 }
 
 bool ResultStore::compactNow() {
@@ -500,22 +586,27 @@ bool ResultStore::compactLocked() {
     return false;
   }
   // Live frames are copied in their original append order so the
-  // compacted file replays the same history, minus the garbage.
-  std::vector<std::pair<const CacheKey *, const IndexEntry *>> Live;
-  Live.reserve(Index.size());
-  for (const auto &Entry : Index)
-    Live.push_back({&Entry.first, &Entry.second});
-  std::sort(Live.begin(), Live.end(), [](const auto &A, const auto &B) {
-    return A.second->Offset < B.second->Offset;
-  });
+  // compacted file replays the same history, minus the garbage. Each
+  // entry points at the IndexEntry it updates once the copy lands.
+  std::vector<IndexEntry *> Live;
+  Live.reserve(Index.size() + Aliases.size());
+  for (auto &Entry : Index)
+    Live.push_back(&Entry.second);
+  for (auto &Entry : Aliases)
+    Live.push_back(&Entry.second.Where);
+  std::sort(Live.begin(), Live.end(),
+            [](const IndexEntry *A, const IndexEntry *B) {
+              return A->Offset < B->Offset;
+            });
 
   std::string Header = fileHeaderBytes();
   bool Ok = ::pwrite(TmpFd, Header.data(), Header.size(), 0) ==
             static_cast<ssize_t>(Header.size());
   uint64_t Out = FileHeaderSize;
   std::vector<uint8_t> Buf;
-  std::unordered_map<CacheKey, IndexEntry, CacheKeyHasher> NewIndex;
-  for (const auto &[Key, Entry] : Live) {
+  std::vector<uint64_t> NewOffsets; // Parallels Live.
+  NewOffsets.reserve(Live.size());
+  for (const IndexEntry *Entry : Live) {
     if (!Ok)
       break;
     Buf.resize(static_cast<size_t>(Entry->Size));
@@ -525,7 +616,7 @@ bool ResultStore::compactLocked() {
       Ok = false;
       break;
     }
-    NewIndex[*Key] = IndexEntry{Out, Entry->Size};
+    NewOffsets.push_back(Out);
     Out += Entry->Size;
   }
   if (!Ok || ::fsync(TmpFd) != 0) {
@@ -550,7 +641,8 @@ bool ResultStore::compactLocked() {
   }
   ::close(Fd);
   Fd = NewFd;
-  Index = std::move(NewIndex);
+  for (size_t I = 0; I < Live.size(); ++I)
+    Live[I]->Offset = NewOffsets[I];
   FileSize = Out;
   ScanEnd = Out;
   LiveBytes = Out - FileHeaderSize;
@@ -567,6 +659,7 @@ StoreStats ResultStore::stats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   StoreStats S = Counters;
   S.Records = Index.size();
+  S.Aliases = Aliases.size();
   S.Bytes = FileSize;
   S.LiveBytes = LiveBytes;
   return S;

@@ -20,11 +20,22 @@
 ///                            | checksum u64 (FNV-1a over the payload)
 ///                            | payload (payload_len bytes)
 ///
-/// Each frame's payload is the fixed-width record head (the CacheKey and
-/// every CachedResult scalar) followed by the routed QASM bytes. A frame
-/// is appended with a single write(2), so a torn append — the daemon
-/// SIGKILLed or the machine lost mid-write — is always a *prefix* of a
-/// valid frame at end of file.
+/// A result frame's payload is the fixed-width record head (the CacheKey
+/// and every CachedResult scalar) followed by the routed QASM bytes.
+///
+/// An alias frame has the same envelope under magic 'QALS' and a 48-byte
+/// payload: alias key (3 x u64) | canonical key (3 x u64). The alias key
+/// fingerprints a request's raw QASM text (plus backend and mapper
+/// config); the canonical key is the result key of the circuit that text
+/// imports to. Aliases live in their own index, so an alias key can never
+/// be served as a result. Version-1 stores written before alias frames
+/// existed hold only result frames and open unchanged; a daemon that
+/// predates them skips alias frames as corrupt and still serves every
+/// result.
+///
+/// A frame is appended with a single write(2), so a torn append — the
+/// daemon SIGKILLed or the machine lost mid-write — is always a *prefix*
+/// of a valid frame at end of file.
 ///
 /// Recovery contract (the crash/corruption property ResultStoreTest and
 /// store_crash.sh enforce):
@@ -47,7 +58,7 @@
 /// holds it) but not power loss — the usual append-log durability trade.
 ///
 /// Compaction: duplicate-key appends and skipped corrupt regions are
-/// garbage. When the garbage fraction of a sufficiently large file
+/// garbage; live result and alias frames are both kept. When the garbage fraction of a sufficiently large file
 /// exceeds CompactGarbageRatio, put() rewrites the live records to
 /// "<path>.compact", fsyncs, and atomically rename(2)s it over the store
 /// — readers either see the old inode (their index stays valid for it)
@@ -69,6 +80,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -94,8 +106,9 @@ struct ResultStoreOptions {
 
 /// Aggregate counters, surfaced under "store" in the stats document.
 struct StoreStats {
-  uint64_t Records = 0;        ///< Live (indexed) records.
-  uint64_t AppendedRecords = 0;///< put()s that reached the file.
+  uint64_t Records = 0;        ///< Live (indexed) result records.
+  uint64_t Aliases = 0;        ///< Live alias records.
+  uint64_t AppendedRecords = 0;///< Frames put() and putAlias() appended.
   uint64_t Bytes = 0;          ///< Current file size.
   uint64_t LiveBytes = 0;      ///< Bytes owned by live frames.
   uint64_t Hits = 0;
@@ -134,6 +147,15 @@ public:
   /// the store stays consistent and serving).
   bool put(const CacheKey &Key, const CachedResult &Value);
 
+  /// The canonical key recorded for raw-text key \p Alias, or nullopt.
+  /// Served from memory (alias frames are checksum-verified when scanned);
+  /// read-only mode refreshes once on a miss, as get() does.
+  std::optional<CacheKey> getAlias(const CacheKey &Alias);
+
+  /// Appends an alias frame mapping \p Alias to \p Canonical, with put()'s
+  /// duplicate, fsync and error policy.
+  bool putAlias(const CacheKey &Alias, const CacheKey &Canonical);
+
   /// fsyncs any batched appends now.
   void flush();
 
@@ -156,6 +178,9 @@ public:
   /// torn-tail and bit-flip harnesses.
   static std::string encodeFrame(const CacheKey &Key,
                                  const CachedResult &Value);
+  /// The alias frame putAlias() appends.
+  static std::string encodeAliasFrame(const CacheKey &Alias,
+                                      const CacheKey &Canonical);
 
   /// Decodes the frame at the start of \p Data. On success fills \p Key,
   /// \p Value and \p FrameSize (total bytes consumed) and returns true;
@@ -170,6 +195,10 @@ private:
     uint64_t Offset = 0; ///< Frame start (header included).
     uint64_t Size = 0;   ///< Total frame size.
   };
+  struct AliasEntry {
+    CacheKey Canonical;
+    IndexEntry Where;
+  };
 
   /// Scans frames in [From, FileSize) into the index; updates ScanEnd to
   /// the first byte past the last whole frame (the torn-tail start).
@@ -178,6 +207,12 @@ private:
   /// Truncates the torn tail (read-write mode) after a scan. Caller
   /// holds Mu.
   void truncateTailLocked();
+  /// Appends \p Frame at end of file (fsync per the batching policy) and
+  /// returns where it landed; nullopt on a write error. Caller holds Mu.
+  std::optional<IndexEntry> appendLocked(const std::string &Frame);
+  /// Compacts when the garbage ratio crosses its threshold. Caller holds
+  /// Mu.
+  void compactIfWastefulLocked();
   /// Rewrites live records to <path>.compact and renames it into place.
   /// Caller holds Mu.
   bool compactLocked();
@@ -193,6 +228,7 @@ private:
   uint64_t LiveBytes = 0;
   uint64_t PendingSyncBytes = 0;
   std::unordered_map<CacheKey, IndexEntry, CacheKeyHasher> Index;
+  std::unordered_map<CacheKey, AliasEntry, CacheKeyHasher> Aliases;
   StoreStats Counters;
 };
 

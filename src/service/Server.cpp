@@ -19,6 +19,7 @@
 #include "topology/Backends.h"
 
 #include <algorithm>
+#include <optional>
 #include <tuple>
 
 using namespace qlosure;
@@ -238,6 +239,9 @@ struct Server::RouteOutcome {
   std::string ErrorMessage;
   bool Cancelled = false;
   bool ContextHit = false;
+  /// Answered from the result cache after import (other text, same
+  /// circuit) instead of routed.
+  bool ResultHit = false;
   RouteStats Stats;
   std::shared_ptr<const CachedResult> Cached; ///< Set on success.
 };
@@ -251,7 +255,10 @@ Server::Server(ServerOptions Options)
       Contexts(CacheOptions{this->Options.CacheShards,
                             this->Options.ContextCacheBytes}),
       Results(CacheOptions{this->Options.CacheShards,
-                           this->Options.ResultCacheBytes}) {}
+                           this->Options.ResultCacheBytes}),
+      Aliases(CacheOptions{this->Options.CacheShards,
+                           std::max<size_t>(
+                               this->Options.ResultCacheBytes / 16, 1)}) {}
 
 Server::~Server() { stop(); }
 
@@ -368,7 +375,10 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
     std::lock_guard<std::mutex> Lock(CounterMu);
     ++Counters.Requests;
   }
+  const auto DecodeStart = Trace::Clock::now();
   RequestParse Parsed = parseRequest(Line);
+  const auto DecodeEnd = Trace::Clock::now();
+  Histos.Decode.recordNs(spanNs(DecodeStart, DecodeEnd));
   if (!Parsed.Ok) {
     // Rejections stay correlatable: whatever (op, id) the request
     // carried was captured before validation failed.
@@ -378,7 +388,7 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
               Parsed.ErrorMessage);
     return;
   }
-  const Request &Req = Parsed.Req;
+  Request &Req = Parsed.Req;
   switch (Req.TheOp) {
   case Op::Ping:
     Conn->send(formatPingResponse(Req.Id));
@@ -399,7 +409,7 @@ void Server::handleLine(const std::shared_ptr<Connection> &Conn,
     return;
   case Op::Route:
   case Op::Batch:
-    handleSession(Conn, Req);
+    handleSession(Conn, Req, DecodeStart, DecodeEnd);
     return;
   }
   sendError(*Conn, "unknown", Req.Id, errc::BadRequest, "unhandled op");
@@ -441,6 +451,32 @@ Server::lookupResult(const CacheKey &Key) {
   return Results.insertValue(Key, std::move(FromStore));
 }
 
+std::shared_ptr<const CachedResult>
+Server::lookupAliased(const CacheKey &RawKey) {
+  std::optional<CacheKey> Canonical;
+  if (auto Alias = Aliases.lookup(RawKey))
+    Canonical = Alias->Canonical;
+  else if (Store && (Canonical = Store->getAlias(RawKey)))
+    Aliases.insertValue(RawKey,
+                        std::make_shared<const ResultAlias>(
+                            ResultAlias{*Canonical}));
+  if (!Canonical)
+    return nullptr;
+  auto Cached = lookupResult(*Canonical);
+  if (Cached) {
+    std::lock_guard<std::mutex> Lock(CounterMu);
+    ++Counters.AliasHits;
+  }
+  return Cached;
+}
+
+void Server::recordAlias(const CacheKey &RawKey, const CacheKey &ResultKey) {
+  Aliases.insertValue(RawKey, std::make_shared<const ResultAlias>(
+                                  ResultAlias{ResultKey}));
+  if (Store)
+    Store->putAlias(RawKey, ResultKey);
+}
+
 std::shared_ptr<const Server::PooledBackend>
 Server::lookupBackend(const std::string &Name, bool ErrorAware,
                       uint64_t CalibrationSeed) {
@@ -479,17 +515,56 @@ Server::lookupBackend(const std::string &Name, bool ErrorAware,
 }
 
 Server::RouteOutcome
-Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
+Server::executeRoute(const std::string &Qasm,
                      const std::shared_ptr<const PooledBackend> &Backend,
-                     const RouteRequest &Params, uint64_t CircuitFp,
-                     const CacheKey &ResultKey, RoutingScratch &Scratch,
-                     CancellationToken &Cancel,
-                     const std::function<void()> &BeforeRoute, Trace *T) {
+                     const RouteRequest &Params, const CacheKey &RawKey,
+                     RoutingScratch &Scratch, CancellationToken &Cancel,
+                     const std::function<void(size_t)> &BeforeRoute,
+                     Trace *T) {
   RouteOutcome Out;
   if (Cancel.cancelled()) {
     Out.Cancelled = true;
     return Out;
   }
+  std::shared_ptr<const Circuit> Logical;
+  {
+    const auto ImportStart = Trace::Clock::now();
+    ScopedSpan ImportSpan(T, "import_qasm");
+    qasm::ImportResult Imported = qasm::importQasm(Qasm, "request", &Cancel);
+    if (Imported.succeeded())
+      Logical = std::make_shared<const Circuit>(
+          Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
+    Histos.ImportQasm.recordNs(spanNs(ImportStart, Trace::Clock::now()));
+    if (Imported.Cancelled) {
+      Out.Cancelled = true;
+      return Out;
+    }
+    if (!Logical) {
+      Out.ErrorCode = Imported.OverBudget ? errc::TooLarge : errc::BadQasm;
+      Out.ErrorMessage = Imported.Error;
+      return Out;
+    }
+  }
+  if (Logical->numQubits() > Backend->Graph->numQubits()) {
+    Out.ErrorCode = errc::TooLarge;
+    Out.ErrorMessage = formatString(
+        "circuit has %u qubits but %s only has %u", Logical->numQubits(),
+        Params.Backend.c_str(), Backend->Graph->numQubits());
+    return Out;
+  }
+  const uint64_t CircuitFp = fingerprint(*Logical);
+  const CacheKey ResultKey{CircuitFp, RawKey.BackendFp, RawKey.ConfigFp};
+  // The same circuit may already be known under other text.
+  if (auto Cached = lookupResult(ResultKey)) {
+    if (T)
+      T->addNs("result_cache_hit", T->sinceEpochNs(Trace::Clock::now()), 0);
+    recordAlias(RawKey, ResultKey);
+    Out.ResultHit = true;
+    Out.Stats = statsFromCached(*Cached);
+    Out.Cached = std::move(Cached);
+    return Out;
+  }
+
   std::unique_ptr<Router> Mapper =
       makeServiceRouter(Params.Mapper, Params.ErrorAware, Params.Affine);
   RoutingContextOptions CtxOptions = Mapper->contextOptions();
@@ -497,16 +572,10 @@ Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
                       fingerprint(CtxOptions)};
   const auto CtxStart = Trace::Clock::now();
   int CtxSpan = T ? T->begin("context_build") : -1;
-  // The entry keeps its circuit for as long as it is cached, so it gets a
-  // copy made here on the worker. The request's own circuit was allocated
-  // on the connection thread: parking long-lived blocks in the heap that
-  // thread allocates from made every later QASM import on it ~25% slower
-  // (perfbench warm-hits p50).
   auto Bundle = Contexts.getOrBuild(
       ContextKey,
       [&] {
-        return CachedContext::build(std::make_shared<const Circuit>(*Logical),
-                                    Backend->Graph, CtxOptions, T);
+        return CachedContext::build(Logical, Backend->Graph, CtxOptions, T);
       },
       &Out.ContextHit);
   if (T)
@@ -538,7 +607,7 @@ Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
     return Out;
   }
   if (BeforeRoute)
-    BeforeRoute();
+    BeforeRoute(Logical->size());
   const auto RouteStart = Trace::Clock::now();
   int RouteSpan = T ? T->begin("routing_loop") : -1;
   RoutingResult Result = Mapper->route(Ctx, Initial, Scratch, &Cancel);
@@ -569,8 +638,10 @@ Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
   }
   auto Cached = std::make_shared<CachedResult>();
   {
+    const auto PrintStart = Trace::Clock::now();
     ScopedSpan PrintSpan(T, "print_qasm");
     Cached->RoutedQasm = qasm::printQasm(Result.Routed);
+    Histos.PrintQasm.recordNs(spanNs(PrintStart, Trace::Clock::now()));
   }
   Cached->LogicalGates = Logical->size();
   Cached->RoutedGates = Result.Routed.size();
@@ -584,21 +655,15 @@ Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
     Cached->SuccessProbability =
         estimateSuccessProbability(Result.Routed, Ctx.hardware());
 
-  Out.Stats.LogicalGates = Cached->LogicalGates;
-  Out.Stats.RoutedGates = Cached->RoutedGates;
-  Out.Stats.Swaps = Cached->Swaps;
-  Out.Stats.DepthBefore = Cached->DepthBefore;
-  Out.Stats.DepthAfter = Cached->DepthAfter;
-  Out.Stats.MappingSeconds = Cached->MappingSeconds;
-  Out.Stats.TimedOut = Cached->TimedOut;
-  Out.Stats.Verified = true;
-  Out.Stats.SuccessProbability = Cached->SuccessProbability;
+  Out.Stats = statsFromCached(*Cached);
   Out.Cached = Results.insertValue(ResultKey, std::move(Cached));
-  // Persist the routed result. Failures are counted in the store's own
+  // Persist the routed result, then its alias (a stored alias then always
+  // names a stored result). Failures are counted in the store's own
   // stats and never fail the request — durability is an optimization,
   // not a correctness requirement.
   if (Store)
     Store->put(ResultKey, *Out.Cached);
+  recordAlias(RawKey, ResultKey);
   return Out;
 }
 
@@ -607,22 +672,23 @@ Server::executeRoute(const std::shared_ptr<const Circuit> &Logical,
 //===----------------------------------------------------------------------===//
 
 void Server::handleSession(const std::shared_ptr<Connection> &Conn,
-                           const Request &Req) {
+                           Request &Req, Trace::Clock::time_point Arrival,
+                           Trace::Clock::time_point Decoded) {
   const RouteRequest &Route = Req.Route;
   auto S = std::make_shared<Session>();
   S->Conn = Conn;
   S->IsBatch = Req.TheOp == Op::Batch;
   S->Id = Req.Id;
   S->Params = Route;
-  S->Arrival = Trace::Clock::now();
+  S->Arrival = Arrival;
   // A traced route carries one span recorder from arrival to its final
   // frame; untraced requests never allocate one.
   if (!S->IsBatch && Route.Trace) {
     S->RouteTrace = std::make_shared<Trace>();
     S->RouteTrace->reset(
         Route.TraceId.empty() ? generateTraceId() : Route.TraceId, S->Arrival);
+    S->RouteTrace->add("decode", Arrival, Decoded);
   }
-  Trace *T = S->RouteTrace.get();
   const size_t Total = Req.Items.size();
   {
     std::lock_guard<std::mutex> Lock(CounterMu);
@@ -673,14 +739,14 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
 
   // Triage every item before anything is enqueued or any frame is sent:
   // admission below is all-or-nothing, and a rejected request emits no
-  // item frames at all.
-  struct InlineOutcome {
+  // item frames at all. Triage reads only the item's raw bytes: a hit is
+  // answered without importing, and everything else — the import, its
+  // failures included — runs on a worker under the request's deadline.
+  struct InlineHit {
     size_t Index;
-    std::shared_ptr<const CachedResult> Cached; ///< Set: a cache hit.
-    const char *Code;                           ///< Else: a failure.
-    std::string Message;
+    std::shared_ptr<const CachedResult> Cached;
   };
-  // An item whose key matches a flight already in the air (a foreign
+  // An item whose raw key matches a flight already in the air (a foreign
   // request's route, or an earlier identical item of this same batch).
   // It must not route again — but it also must not attach yet: a foreign
   // flight could complete (and deliver this item's frame) before the
@@ -688,45 +754,22 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
   // Candidates are resolved only after admission.
   struct CoalesceCandidate {
     size_t Index;
-    std::shared_ptr<const Circuit> Logical;
-    uint64_t CircuitFp;
-    CacheKey ResultKey;
+    std::string Qasm;
+    CacheKey RawKey;
     std::shared_ptr<JobTicket> Ticket;
   };
-  std::vector<InlineOutcome> Inline;
+  std::vector<InlineHit> Inline;
   std::vector<CoalesceCandidate> Candidates;
   std::vector<SchedulerJob> Jobs;
   std::vector<size_t> JobIndex; // Jobs[J] routes item JobIndex[J].
   std::vector<std::shared_ptr<JobTicket>> LeaderTickets; // Parallels Jobs.
 
   for (size_t I = 0; I < Total; ++I) {
-    int ImportSpan = T ? T->begin("import_qasm") : -1;
-    qasm::ImportResult Imported =
-        qasm::importQasm(Req.Items[I].Qasm, "request");
-    if (!Imported.succeeded()) {
-      if (T)
-        T->end(ImportSpan);
-      Inline.push_back({I, nullptr,
-                        Imported.OverBudget ? errc::TooLarge : errc::BadQasm,
-                        Imported.Error});
-      continue;
-    }
-    auto Logical = std::make_shared<const Circuit>(
-        Imported.Circ->withoutNonUnitaries().decomposeThreeQubitGates());
-    if (T)
-      T->end(ImportSpan);
-    if (Logical->numQubits() > Backend->Graph->numQubits()) {
-      Inline.push_back(
-          {I, nullptr, errc::TooLarge,
-           formatString("circuit has %u qubits but %s only has %u",
-                        Logical->numQubits(), Route.Backend.c_str(),
-                        Backend->Graph->numQubits())});
-      continue;
-    }
-    uint64_t CircuitFp = fingerprint(*Logical);
-    CacheKey ResultKey{CircuitFp, Backend->Fingerprint, MapperConfigFp};
-    if (auto Cached = lookupResult(ResultKey)) {
-      Inline.push_back({I, std::move(Cached), nullptr, {}});
+    std::string &Qasm = Req.Items[I].Qasm;
+    const CacheKey RawKey{fingerprintString(Qasm), Backend->Fingerprint,
+                          MapperConfigFp};
+    if (auto Cached = lookupAliased(RawKey)) {
+      Inline.push_back({I, std::move(Cached)});
       continue;
     }
     // Leading is claimed *now*, with a fresh pre-made ticket, so that a
@@ -734,14 +777,13 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
     // routing twice. The flights are unwound (completeByLeader) if
     // admission is rejected.
     auto Ticket = std::make_shared<JobTicket>();
-    if (Inflight->lead(ResultKey, Ticket)) {
-      Jobs.push_back(makeLeaderJob(S, I, Logical, Backend, CircuitFp,
-                                   ResultKey, Deadline));
+    if (Inflight->lead(RawKey, Ticket)) {
+      Jobs.push_back(
+          makeLeaderJob(S, I, std::move(Qasm), Backend, RawKey, Deadline));
       JobIndex.push_back(I);
       LeaderTickets.push_back(std::move(Ticket));
     } else {
-      Candidates.push_back(
-          {I, std::move(Logical), CircuitFp, ResultKey, std::move(Ticket)});
+      Candidates.push_back({I, std::move(Qasm), RawKey, std::move(Ticket)});
     }
   }
 
@@ -796,10 +838,9 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
           return;
         }
         replyResult(*S, I, O.Stats, O.ContextHit, /*ResultCacheHit=*/false,
-                    O.Cached->RoutedQasm, /*TraceJson=*/nullptr,
-                    /*Coalesced=*/true);
+                    O.Cached->RoutedQasm, /*T=*/nullptr, /*Coalesced=*/true);
       };
-      if (Inflight->tryAttach(C.ResultKey, std::move(F))) {
+      if (Inflight->tryAttach(C.RawKey, std::move(F))) {
         {
           std::lock_guard<std::mutex> Lock(CounterMu);
           ++Counters.Coalesced;
@@ -807,14 +848,13 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
         S->Tickets.emplace_back(C.Ticket, C.Index);
         break;
       }
-      if (auto Cached = lookupResult(C.ResultKey)) {
+      if (auto Cached = lookupAliased(C.RawKey)) {
         replyCached(*S, C.Index, *Cached);
         break;
       }
-      if (Inflight->lead(C.ResultKey, C.Ticket)) {
-        if (!Workers->trySubmit(makeLeaderJob(S, C.Index, C.Logical, Backend,
-                                              C.CircuitFp, C.ResultKey,
-                                              Deadline),
+      if (Inflight->lead(C.RawKey, C.Ticket)) {
+        if (!Workers->trySubmit(makeLeaderJob(S, C.Index, std::move(C.Qasm),
+                                              Backend, C.RawKey, Deadline),
                                 C.Ticket)) {
           const char *Code =
               Host.stopping() ? errc::ShuttingDown : errc::QueueFull;
@@ -834,39 +874,33 @@ void Server::handleSession(const std::shared_ptr<Connection> &Conn,
     }
   }
 
-  // Inline outcomes go out only now, after the admission decision.
-  // Workers may already be streaming their items — fine; the final frame
-  // still waits for these, because their countdown slots are ours.
-  for (const InlineOutcome &Out : Inline) {
-    if (Out.Cached)
-      replyCached(*S, Out.Index, *Out.Cached);
-    else
-      replyError(*S, Out.Index, Out.Code, Out.Message);
-  }
+  // Inline hits go out only now, after the admission decision. Workers
+  // may already be streaming their items — fine; the final frame still
+  // waits for these, because their countdown slots are ours.
+  for (const InlineHit &Hit : Inline)
+    replyCached(*S, Hit.Index, *Hit.Cached);
 }
 
 SchedulerJob Server::makeLeaderJob(
-    const std::shared_ptr<Session> &S, size_t I,
-    std::shared_ptr<const Circuit> Logical,
-    std::shared_ptr<const PooledBackend> Backend, uint64_t CircuitFp,
-    const CacheKey &ResultKey,
+    const std::shared_ptr<Session> &S, size_t I, std::string Qasm,
+    std::shared_ptr<const PooledBackend> Backend, const CacheKey &RawKey,
     std::chrono::steady_clock::time_point Deadline) {
   SchedulerJob Job;
   Job.Deadline = Deadline;
-  Job.OnExpired = [this, S, I, ResultKey] {
+  Job.OnExpired = [this, S, I, RawKey] {
     std::string Message = formatString(
         "deadline passed before a worker picked the %s up", S->noun());
-    Inflight->complete(ResultKey,
+    Inflight->complete(RawKey,
                        coalescedFailure(errc::DeadlineExceeded, Message));
     replyError(*S, I, errc::DeadlineExceeded, Message);
   };
-  // A route's queue wait runs from submission (its triage is its own
-  // import); batch items genuinely wait while earlier ones are triaged,
-  // so theirs runs from arrival.
+  // A route's queue wait runs from submission; batch items genuinely
+  // wait while the line is decoded and earlier items are triaged, so
+  // theirs runs from arrival.
   const auto QueuedAt = S->IsBatch ? S->Arrival : Trace::Clock::now();
-  Job.Run = [this, S, I, Logical = std::move(Logical),
-             Backend = std::move(Backend), CircuitFp, ResultKey,
-             QueuedAt](RoutingScratch &Scratch, CancellationToken &Cancel) {
+  Job.Run = [this, S, I, Qasm = std::move(Qasm), Backend = std::move(Backend),
+             RawKey, QueuedAt](RoutingScratch &Scratch,
+                               CancellationToken &Cancel) {
     const auto Pickup = Trace::Clock::now();
     Histos.QueueWait.recordNs(spanNs(QueuedAt, Pickup));
     std::shared_ptr<Trace> T = S->RouteTrace;
@@ -879,25 +913,23 @@ SchedulerJob Server::makeLeaderJob(
     }
     if (T)
       T->add("queue_wait", QueuedAt, Pickup);
-    std::function<void()> BeforeRoute;
+    std::function<void(size_t)> BeforeRoute;
     if (!S->IsBatch && S->Params.Progress && !S->Id.empty()) {
       // Stream ~20 progress events per route, floored so small circuits
       // do not flood the connection. Installed only right before the
       // main routing pass — after the bidirectional derive passes, which
       // route the circuit internally and would otherwise exhaust the
       // throttle (and mislead the client) before the real route begins.
-      size_t Step = std::max<size_t>(Logical->size() / 20, 256);
-      BeforeRoute = [&Cancel, Conn = S->Conn, Id = S->Id, Step] {
+      BeforeRoute = [&Cancel, Conn = S->Conn, Id = S->Id](size_t Gates) {
         Cancel.enableProgress(
             [Conn, Id](size_t Done, size_t Total) {
               Conn->send(formatProgressEvent(Id, Done, Total));
             },
-            Step);
+            std::max<size_t>(Gates / 20, 256));
       };
     }
-    RouteOutcome Out = executeRoute(Logical, Backend, S->Params, CircuitFp,
-                                    ResultKey, Scratch, Cancel, BeforeRoute,
-                                    T.get());
+    RouteOutcome Out = executeRoute(Qasm, Backend, S->Params, RawKey,
+                                    Scratch, Cancel, BeforeRoute, T.get());
     const auto Done = Trace::Clock::now();
     if (S->IsBatch)
       Histos.BatchItem.recordNs(spanNs(Pickup, Done));
@@ -912,7 +944,7 @@ SchedulerJob Server::makeLeaderJob(
     if (Out.ErrorCode) {
       // Followers are delivered first: the leader's possibly-slow writer
       // must not delay their (other connections') responses.
-      Inflight->complete(ResultKey,
+      Inflight->complete(RawKey,
                          coalescedFailure(Out.ErrorCode, Out.ErrorMessage));
       replyError(*S, I, Out.ErrorCode, Out.ErrorMessage);
       return;
@@ -922,12 +954,9 @@ SchedulerJob Server::makeLeaderJob(
     FlightOut.ContextHit = Out.ContextHit;
     FlightOut.Stats = Out.Stats;
     FlightOut.Cached = Out.Cached;
-    Inflight->complete(ResultKey, FlightOut);
-    json::Value TraceJson;
-    if (T)
-      TraceJson = T->toJson(Done);
-    replyResult(*S, I, Out.Stats, Out.ContextHit, /*ResultCacheHit=*/false,
-                Out.Cached->RoutedQasm, T ? &TraceJson : nullptr);
+    Inflight->complete(RawKey, FlightOut);
+    replyResult(*S, I, Out.Stats, Out.ContextHit, Out.ResultHit,
+                Out.Cached->RoutedQasm, T.get());
   };
   return Job;
 }
@@ -1000,33 +1029,37 @@ void Server::replyError(Session &S, size_t Index, const char *Code,
 
 void Server::replyResult(Session &S, size_t Index, const RouteStats &Stats,
                          bool ContextCacheHit, bool ResultCacheHit,
-                         const std::string &Qasm, const json::Value *TraceJson,
-                         bool Coalesced) {
+                         const std::string &Qasm, Trace *T, bool Coalesced) {
+  const auto Start = Trace::Clock::now();
   const RouteRequest &P = S.Params;
-  finishItem(S, Index, "ok",
-             S.IsBatch
-                 ? formatBatchItemResult(S.Id, Index, S.Names[Index], P.Mapper,
-                                         P.Backend, Stats, ContextCacheHit,
-                                         ResultCacheHit, Qasm, P.IncludeQasm,
-                                         TraceJson, Coalesced)
-                 : formatRouteResponse(S.Id, P.Mapper, P.Backend, Stats,
-                                       ContextCacheHit, ResultCacheHit, Qasm,
-                                       P.IncludeQasm, TraceJson, Coalesced));
+  std::string Frame =
+      S.IsBatch ? formatBatchItemResult(S.Id, Index, S.Names[Index], P.Mapper,
+                                        P.Backend, Stats, ContextCacheHit,
+                                        ResultCacheHit, Qasm, P.IncludeQasm,
+                                        Coalesced)
+                : formatRouteResponse(S.Id, P.Mapper, P.Backend, Stats,
+                                      ContextCacheHit, ResultCacheHit, Qasm,
+                                      P.IncludeQasm, Coalesced);
+  if (T) {
+    // A frame cannot carry the time spent sending it: the span ends once
+    // the body is encoded; the histogram below covers the send too.
+    const auto Encoded = Trace::Clock::now();
+    T->add("encode_write", Start, Encoded);
+    appendTraceMember(Frame, T->toJson(Encoded));
+  }
+  finishItem(S, Index, "ok", Frame);
+  Histos.EncodeWrite.recordNs(spanNs(Start, Trace::Clock::now()));
 }
 
 void Server::replyCached(Session &S, size_t Index,
                          const CachedResult &Cached) {
   // A traced route marks the hit in its trace; batch hits carry none.
-  json::Value TraceJson;
-  if (Trace *T = S.RouteTrace.get()) {
-    const auto Now = Trace::Clock::now();
-    T->addNs("result_cache_hit", T->sinceEpochNs(Now), 0);
-    TraceJson = T->toJson(Now);
-  }
+  Trace *T = S.RouteTrace.get();
+  if (T)
+    T->addNs("result_cache_hit", T->sinceEpochNs(Trace::Clock::now()), 0);
   recordRouteLatency(S);
   replyResult(S, Index, statsFromCached(Cached), /*ContextCacheHit=*/false,
-              /*ResultCacheHit=*/true, Cached.RoutedQasm,
-              S.RouteTrace ? &TraceJson : nullptr);
+              /*ResultCacheHit=*/true, Cached.RoutedQasm, T);
 }
 
 void Server::recordRouteLatency(const Session &S) {
@@ -1076,13 +1109,16 @@ json::Value Server::statsJson() const {
 
   Doc.set("context_cache",
           cacheStatsJson(Contexts.stats(), Options.ContextCacheBytes));
-  Doc.set("result_cache",
-          cacheStatsJson(Results.stats(), Options.ResultCacheBytes));
+  json::Value ResultObj =
+      cacheStatsJson(Results.stats(), Options.ResultCacheBytes);
+  ResultObj.set("alias_hits", counters().AliasHits);
+  Doc.set("result_cache", std::move(ResultObj));
   if (Store) {
     StoreStats SS = Store->stats();
     json::Value St = json::Value::object();
     St.set("read_only", Store->readOnly());
     St.set("records", SS.Records);
+    St.set("aliases", SS.Aliases);
     St.set("appended_records", SS.AppendedRecords);
     St.set("bytes", SS.Bytes);
     St.set("live_bytes", SS.LiveBytes);
@@ -1100,13 +1136,17 @@ json::Value Server::statsJson() const {
 
 json::Value ServiceHistograms::toJson() const {
   json::Value Obj = json::Value::object();
+  Obj.set("decode", Decode.toJson());
   Obj.set("route", Route.toJson());
   Obj.set("batch_item", BatchItem.toJson());
   Obj.set("queue_wait", QueueWait.toJson());
+  Obj.set("import_qasm", ImportQasm.toJson());
   Obj.set("context_build", ContextBuild.toJson());
   Obj.set("initial_mapping", InitialMapping.toJson());
   Obj.set("routing_loop", RoutingLoop.toJson());
   Obj.set("verify", Verify.toJson());
+  Obj.set("print_qasm", PrintQasm.toJson());
+  Obj.set("encode_write", EncodeWrite.toJson());
   return Obj;
 }
 

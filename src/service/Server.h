@@ -12,7 +12,7 @@
 /// bounded worker-pool scheduler (service/Scheduler.h).
 ///
 /// Since protocol v2 each connection is **fully asynchronous**: the
-/// connection thread only reads and validates; every response is written
+/// connection thread only reads and triages; every response is written
 /// through the connection's mutex-serialized writer, by whichever thread
 /// finishes first. Cheap requests (ping/stats/cache hits/validation
 /// errors) answer inline from the connection thread; scheduled routes
@@ -23,22 +23,31 @@
 /// Request path — one for `route` and `batch`: a route is a batch of
 /// one item, and both run as a Session.
 ///
-///   connection thread: parse line -> validate mapper/backend -> per
-///   item: import QASM -> fingerprint -> result-cache/store lookup (a hit
-///   is answered after admission) -> lead the item's flight, or — when an
-///   identical request is already routing — become a coalesce candidate
-///   -> register the session under its id -> all-or-nothing
-///   trySubmitBatch of the leaders (full queue: one `queue_full` error,
-///   no item frames) -> attach the candidates as followers -> send the
-///   inline hits and failures -> **keep reading** (no wait).
+///   connection thread: decode line -> validate mapper/backend -> per
+///   item: raw key (fingerprint of the item's QASM bytes x backend x
+///   mapper config) -> alias lookup (memory, then store) -> result lookup
+///   under the canonical key it names (a hit is answered after admission,
+///   never imported) -> lead the raw key's flight, or — when identical
+///   bytes are already in flight — become a coalesce candidate ->
+///   register the session under its id -> all-or-nothing trySubmitBatch
+///   of the leaders (full queue: one `queue_full` error, no item frames)
+///   -> attach the candidates as followers -> send the inline hits ->
+///   **keep reading** (no wait). Triage never imports QASM.
 ///
-///   worker thread: context-cache getOrBuild (shared RoutingContext;
-///   omega is computed on the first read, so only a mapper that scores
-///   with it pays for it) -> route with the worker's pooled RoutingScratch,
-///   polling the job's CancellationToken once per front-layer step ->
-///   verify -> print -> insert result cache -> complete the flight (its
-///   followers are answered first) -> reply, or the `cancelled` /
-///   `deadline_exceeded` error when the token fired mid-route.
+///   worker thread, under the request's CancellationToken (deadline and
+///   `cancel`): import QASM (the importer polls the token) -> `bad_qasm`
+///   / `too_large` (import budget, qubit count) -> canonical key ->
+///   result lookup again (the same circuit sent as different text) ->
+///   context-cache getOrBuild (shared RoutingContext; omega is computed
+///   on the first read, so only a mapper that scores with it pays for
+///   it) -> route with the worker's pooled RoutingScratch, polling the
+///   token once per front-layer step -> verify -> print -> record the
+///   result under the canonical key and the alias under the raw key
+///   (memory and store) -> complete the flight (its followers are
+///   answered first) -> reply, or the `cancelled` / `deadline_exceeded`
+///   error when the token fired. Two different texts of one circuit in
+///   flight together may both route: results are deterministic and the
+///   caches keep the first insert.
 ///
 ///   reply sink (the only per-op code): a route answers with one `route`
 ///   response, streaming `progress` events while it routes; a batch
@@ -151,13 +160,18 @@ struct ServerOptions {
 /// steady-clock reads per *request* (never per routing step), so these
 /// stay on even when tracing is off.
 struct ServiceHistograms {
+  LatencyHistogram Decode;         ///< parseRequest of one request line.
   LatencyHistogram Route;          ///< route op, total (queue wait included).
   LatencyHistogram BatchItem;      ///< one batch item, worker time.
   LatencyHistogram QueueWait;      ///< submit -> worker pickup.
+  LatencyHistogram ImportQasm;     ///< QASM import of a scheduled item.
   LatencyHistogram ContextBuild;   ///< context-cache getOrBuild.
   LatencyHistogram InitialMapping; ///< identity / bidirectional derive.
   LatencyHistogram RoutingLoop;    ///< the mapper's route() call.
   LatencyHistogram Verify;         ///< gate-for-gate verification.
+  LatencyHistogram PrintQasm;      ///< printing the routed program.
+  /// Format + send of a routed answer (a route response or batch item).
+  LatencyHistogram EncodeWrite;
 
   /// The stats subtree: {"route": {histogram...}, ...}.
   json::Value toJson() const;
@@ -178,6 +192,8 @@ struct ServerCounters {
   /// Requests answered by attaching to another identical request's
   /// in-flight route instead of routing again (service/InflightTable.h).
   uint64_t Coalesced = 0;
+  /// Items answered at triage through a raw-text alias: never imported.
+  uint64_t AliasHits = 0;
   /// Affine fast-path outcomes, summed over every completed route: loop
   /// periods covered by replaying a recorded swap schedule vs. periods
   /// routed gate-by-gate (recording or post-divergence fallback).
@@ -259,38 +275,44 @@ private:
   void handleLine(const std::shared_ptr<Connection> &Conn,
                   const std::string &Line);
   /// The one request path of `route` and `batch`: validation, per-item
-  /// triage (import, result key, cache/store lookup, flight lead), all-
-  /// or-nothing admission, coalesce-candidate attach, then the inline
-  /// outcomes.
-  void handleSession(const std::shared_ptr<Connection> &Conn,
-                     const Request &Req);
+  /// triage (raw key, alias and result lookup, flight lead), all-or-
+  /// nothing admission, coalesce-candidate attach, then the inline hits.
+  /// The items' QASM moves into their jobs. \p Arrival and \p Decoded
+  /// bracket the line's decode.
+  void handleSession(const std::shared_ptr<Connection> &Conn, Request &Req,
+                     Trace::Clock::time_point Arrival,
+                     Trace::Clock::time_point Decoded);
   void handleCancel(const std::shared_ptr<Connection> &Conn,
                     const Request &Req);
 
-  /// The scheduler job of item \p I, which leads its flight. Every
-  /// terminal path completes the flight (delivering any followers) before
-  /// replying through the session.
+  /// The scheduler job of item \p I (QASM text \p Qasm), which leads
+  /// the flight of raw key \p RawKey. Every terminal path completes the
+  /// flight (delivering any followers) before replying through the
+  /// session.
   SchedulerJob makeLeaderJob(const std::shared_ptr<Session> &S, size_t I,
-                             std::shared_ptr<const Circuit> Logical,
+                             std::string Qasm,
                              std::shared_ptr<const PooledBackend> Backend,
-                             uint64_t CircuitFp, const CacheKey &ResultKey,
+                             const CacheKey &RawKey,
                              std::chrono::steady_clock::time_point Deadline);
 
-  /// The mapper/context/route/verify/cache core every routed item runs
-  /// on a worker thread. \p BeforeRoute, when set, runs right before the
-  /// main routing pass (after the bidirectional derive) — the hook
+  /// The import/key/lookup/context/route/verify/cache core every
+  /// scheduled item runs on a worker thread, under \p Cancel: imports
+  /// \p Qasm, answers from the result cache when the circuit is already
+  /// known under its canonical key, and otherwise routes it; either way
+  /// the alias \p RawKey -> canonical key is recorded. \p BeforeRoute,
+  /// when set, runs right before the main routing pass (after the
+  /// bidirectional derive) with the circuit's gate count — the hook
   /// `route` uses to install its progress sink.
   /// \p T, when non-null, receives the per-phase spans of this request
-  /// (context_build, initial_mapping, routing_loop, verify, print_qasm)
-  /// and is installed as the scratch's trace sink around the mapper calls
-  /// (the bidirectional derive's too).
+  /// (import_qasm, context_build, initial_mapping, routing_loop, verify,
+  /// print_qasm) and is installed as the scratch's trace sink around the
+  /// mapper calls (the bidirectional derive's too).
   /// Phase latencies are recorded into Histos regardless of tracing.
-  RouteOutcome executeRoute(const std::shared_ptr<const Circuit> &Logical,
+  RouteOutcome executeRoute(const std::string &Qasm,
                             const std::shared_ptr<const PooledBackend> &Backend,
-                            const RouteRequest &Params, uint64_t CircuitFp,
-                            const CacheKey &ResultKey, RoutingScratch &Scratch,
-                            CancellationToken &Cancel,
-                            const std::function<void()> &BeforeRoute,
+                            const RouteRequest &Params, const CacheKey &RawKey,
+                            RoutingScratch &Scratch, CancellationToken &Cancel,
+                            const std::function<void(size_t)> &BeforeRoute,
                             Trace *T = nullptr);
 
   /// Cancels every item of \p S: queued items (and followers) are
@@ -310,10 +332,12 @@ private:
                   const std::string &Frame);
   void replyError(Session &S, size_t Index, const char *Code,
                   const std::string &Message);
+  /// \p T, when non-null, is the item's trace: it gains an
+  /// `encode_write` span for the frame's encode and rides the frame as
+  /// its last member.
   void replyResult(Session &S, size_t Index, const RouteStats &Stats,
                    bool ContextCacheHit, bool ResultCacheHit,
-                   const std::string &Qasm, const json::Value *TraceJson,
-                   bool Coalesced = false);
+                   const std::string &Qasm, Trace *T, bool Coalesced = false);
   /// A result-cache (or store) hit; a traced route marks it in its trace.
   void replyCached(Session &S, size_t Index, const CachedResult &Cached);
   /// Records the `route` histogram (arrival to now) for a route's inline
@@ -336,14 +360,22 @@ private:
   /// durable store (a store hit is promoted into the memory cache).
   /// Returns nullptr on a full miss.
   std::shared_ptr<const CachedResult> lookupResult(const CacheKey &Key);
+  /// Triage's lookup: the result whose canonical key raw key \p RawKey
+  /// aliases (memory alias cache, then the store's), or nullptr.
+  std::shared_ptr<const CachedResult> lookupAliased(const CacheKey &RawKey);
+  /// Records \p RawKey -> \p ResultKey in the alias cache and the store.
+  void recordAlias(const CacheKey &RawKey, const CacheKey &ResultKey);
 
   ServerOptions Options;
   std::unique_ptr<Scheduler> Workers;
   ContextCache Contexts;
   ResultCache Results;
+  /// Raw-text keys -> canonical result keys, on a sixteenth of the
+  /// result-cache budget.
+  AliasCache Aliases;
   /// The durable tier behind Results (nullptr when StorePath is empty).
   std::unique_ptr<ResultStore> Store;
-  /// Single-flight coalescing of identical routed requests.
+  /// Single-flight coalescing of requests with identical raw keys.
   std::unique_ptr<InflightTable> Inflight;
   Timer Uptime;
 

@@ -368,6 +368,21 @@ void LineReader::feed(const char *Data, size_t Size) {
     Scanned -= Start;
     Start = 0;
   }
+  if (MaxLineBytes > 0) {
+    // pop() rejects a line once it holds more than MaxLineBytes bytes
+    // besides a trailing '\r', so an unterminated line — the whole
+    // buffer, when pop() scanned it all — never needs more than
+    // MaxLineBytes + 2 of them; the rest of a chunk without a newline is
+    // dropped.
+    const size_t Keep = MaxLineBytes + 2;
+    if (Scanned == Buf.size() && !std::memchr(Data, '\n', Size))
+      Size = std::min(Size, Keep - std::min(Keep, Buf.size()));
+    // Past a quarter of the bound, grow straight to it: a doubling past
+    // the bound would briefly hold two copies of a line this long.
+    const size_t Need = Buf.size() + Size;
+    if (Need > Buf.capacity() && 4 * Need > Keep)
+      Buf.reserve(std::max(Need, Keep));
+  }
   Buf.append(Data, Size);
 }
 

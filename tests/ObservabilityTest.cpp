@@ -508,6 +508,9 @@ TEST(TracedServiceTest, TracedRouteReturnsAttributedSpans) {
   EXPECT_TRUE(Names.count("routing_loop")) << Response;
   EXPECT_TRUE(Names.count("verify")) << Response;
   EXPECT_TRUE(Names.count("import_qasm")) << Response;
+  EXPECT_TRUE(Names.count("print_qasm")) << Response;
+  EXPECT_TRUE(Names.count("decode")) << Response;
+  EXPECT_TRUE(Names.count("encode_write")) << Response;
   // Depth-0 spans are sequential phases of one request: their total
   // cannot exceed the client-observed wall clock.
   EXPECT_LE(DepthZeroSumUs, WallUs) << Response;
@@ -582,6 +585,49 @@ TEST(TracedServiceTest, StatsExposeLatencyHistograms) {
             std::string::npos)
       << Text.substr(0, 2000);
   EXPECT_NE(Text.find("qlosure_latency_route_count"), std::string::npos);
+}
+
+TEST(TracedServiceTest, LayerHistogramsCountOneSamplePerColdRoute) {
+  TracedServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  const unsigned Routes = 3;
+  for (unsigned I = 0; I < Routes; ++I) {
+    json::Value Req = json::Value::object();
+    Req.set("op", "route");
+    Req.set("qasm", sampleQasm() + formatString("h q[%u];\n", I));
+    Req.set("backend", "aspen16");
+    std::string Response;
+    ASSERT_TRUE(Conn.request(Req.dump(), Response).ok());
+    ASSERT_TRUE(responseOk(parseLine(Response))) << Response;
+  }
+  // encode_write covers the send, so a worker records it just after the
+  // client can read the answer: poll until the last one lands.
+  std::string Response;
+  json::Value Stats;
+  unsigned StatsRequests = 0;
+  for (int Poll = 0; Poll < 200; ++Poll) {
+    ASSERT_TRUE(Conn.request("{\"op\":\"stats\"}", Response).ok());
+    ++StatsRequests;
+    Stats = parseLine(Response);
+    ASSERT_NE(Stats.get("latency"), nullptr) << Response;
+    if (Stats.get("latency")->get("encode_write")->get("count")->asNumber() >=
+        Routes)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const json::Value *Lat = Stats.get("latency");
+  for (const char *Layer :
+       {"import_qasm", "print_qasm", "encode_write", "decode"}) {
+    const json::Value *H = Lat->get(Layer);
+    ASSERT_NE(H, nullptr) << Layer;
+    ASSERT_TRUE(isHistogramJson(*H)) << Layer;
+    // decode also counts the stats requests' own lines.
+    const double Want =
+        Routes + (std::string(Layer) == "decode" ? StatsRequests : 0);
+    EXPECT_EQ(H->get("count")->asNumber(), Want) << Layer;
+    EXPECT_GT(H->get("sum_seconds")->asNumber(), 0) << Layer;
+  }
+  EXPECT_EQ(Stats.get("result_cache")->get("alias_hits")->asNumber(), 0);
 }
 
 TEST(TracedServiceTest, BatchItemsCarryPerItemTraces) {

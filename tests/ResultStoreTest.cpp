@@ -8,7 +8,8 @@
 // round-trips, torn tails truncated at every byte offset of the last
 // frame, bit flips skipped (and counted) without ever crashing or
 // returning wrong bytes, compaction keeping every live record, and the
-// single-writer / read-only-reader sharing protocol.
+// single-writer / read-only-reader sharing protocol — for result frames
+// and for the alias frames that map raw-text keys to result keys.
 //
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +46,11 @@ struct ScopedPath {
 };
 
 CacheKey key(uint64_t N) { return CacheKey{N, N * 31 + 7, N * 131 + 3}; }
+
+/// The raw-text key that aliases key(N) in the alias tests.
+CacheKey aliasKey(uint64_t N) {
+  return CacheKey{~N, N * 31 + 7, N * 131 + 3};
+}
 
 CachedResult sampleResult(uint64_t N) {
   CachedResult R;
@@ -375,4 +381,171 @@ TEST(ResultStoreTest, OpenRejectsNonStoreFiles) {
   Status MissingErr;
   EXPECT_EQ(ResultStore::open(Missing, MissingErr), nullptr);
   EXPECT_FALSE(MissingErr.ok());
+}
+
+//===----------------------------------------------------------------------===//
+// Alias frames
+//===----------------------------------------------------------------------===//
+
+TEST(ResultStoreTest, AliasFramesRoundTripReopenAndCompaction) {
+  ScopedPath P(tempStorePath("alias"));
+  const uint64_t N = 6;
+  {
+    auto Store = openStore(P.Path);
+    ASSERT_NE(Store, nullptr);
+    for (uint64_t I = 0; I < N; ++I) {
+      ASSERT_TRUE(Store->put(key(I), sampleResult(I)));
+      ASSERT_TRUE(Store->putAlias(aliasKey(I), key(I)));
+    }
+    // A duplicate alias is skipped, like a duplicate result.
+    ASSERT_TRUE(Store->putAlias(aliasKey(0), key(0)));
+    StoreStats S = Store->stats();
+    EXPECT_EQ(S.Records, N);
+    EXPECT_EQ(S.Aliases, N);
+    EXPECT_EQ(S.AppendedRecords, 2 * N);
+    auto Canonical = Store->getAlias(aliasKey(3));
+    ASSERT_TRUE(Canonical.has_value());
+    EXPECT_TRUE(*Canonical == key(3));
+  }
+  // Garbage for compaction: a corrupt alias frame appended by hand.
+  std::string Bad = ResultStore::encodeAliasFrame(aliasKey(99), key(99));
+  Bad[Bad.size() - 1] ^= 0x1;
+  writeFileBytes(P.Path, readFileBytes(P.Path) + Bad);
+
+  auto Store = openStore(P.Path);
+  ASSERT_NE(Store, nullptr);
+  EXPECT_EQ(Store->stats().CorruptSkipped, 1u);
+  EXPECT_FALSE(Store->getAlias(aliasKey(99)).has_value());
+  ASSERT_TRUE(Store->compactNow());
+  StoreStats S = Store->stats();
+  EXPECT_EQ(S.Records, N);
+  EXPECT_EQ(S.Aliases, N);
+  EXPECT_EQ(S.Bytes, S.LiveBytes + 16 /* file header */);
+  Store.reset();
+  Store = openStore(P.Path);
+  ASSERT_NE(Store, nullptr);
+  EXPECT_EQ(Store->stats().CorruptSkipped, 0u);
+  for (uint64_t I = 0; I < N; ++I) {
+    auto Canonical = Store->getAlias(aliasKey(I));
+    ASSERT_TRUE(Canonical.has_value()) << "lost alias " << I;
+    EXPECT_TRUE(*Canonical == key(I));
+    auto Got = Store->get(*Canonical);
+    ASSERT_NE(Got, nullptr) << "lost record " << I;
+    expectEqualResults(*Got, sampleResult(I));
+    // The two key spaces never mix: an alias key is no result key.
+    EXPECT_EQ(Store->get(aliasKey(I)), nullptr);
+  }
+  EXPECT_FALSE(Store->getAlias(key(0)).has_value());
+}
+
+TEST(ResultStoreTest, TornAliasTailAtEveryByteOffsetRecoversPrefix) {
+  ScopedPath P(tempStorePath("aliastorn"));
+  {
+    auto Store = openStore(P.Path);
+    ASSERT_NE(Store, nullptr);
+    ASSERT_TRUE(Store->put(key(1), sampleResult(1)));
+    ASSERT_TRUE(Store->putAlias(aliasKey(1), key(1)));
+  }
+  std::string Full = readFileBytes(P.Path);
+  std::string Last = ResultStore::encodeAliasFrame(aliasKey(2), key(2));
+  for (size_t Torn = 0; Torn <= Last.size(); ++Torn) {
+    writeFileBytes(P.Path, Full + Last.substr(0, Torn));
+    auto Store = openStore(P.Path);
+    ASSERT_NE(Store, nullptr) << "torn offset " << Torn;
+    bool Complete = Torn == Last.size();
+    StoreStats S = Store->stats();
+    EXPECT_EQ(S.Aliases, Complete ? 2u : 1u) << "torn offset " << Torn;
+    if (!Complete && Torn > 0) {
+      EXPECT_GT(S.TruncatedBytes + S.CorruptSkipped, 0u)
+          << "torn offset " << Torn;
+    }
+    // The writer cut the torn bytes off.
+    EXPECT_EQ(readFileBytes(P.Path).size(),
+              Full.size() + (Complete ? Last.size() : 0))
+        << "torn offset " << Torn;
+    auto One = Store->getAlias(aliasKey(1));
+    ASSERT_TRUE(One.has_value()) << "torn offset " << Torn;
+    EXPECT_TRUE(*One == key(1));
+    ASSERT_NE(Store->get(key(1)), nullptr) << "torn offset " << Torn;
+    EXPECT_EQ(Store->getAlias(aliasKey(2)).has_value(), Complete)
+        << "torn offset " << Torn;
+  }
+}
+
+TEST(ResultStoreTest, AliasBitFlipsAreSkippedCountedAndNeverMisdirect) {
+  ScopedPath P(tempStorePath("aliasflip"));
+  {
+    auto Store = openStore(P.Path);
+    ASSERT_NE(Store, nullptr);
+    for (uint64_t I = 1; I <= 3; ++I) {
+      ASSERT_TRUE(Store->put(key(I), sampleResult(I)));
+      ASSERT_TRUE(Store->putAlias(aliasKey(I), key(I)));
+    }
+  }
+  std::string Full = readFileBytes(P.Path);
+  // Every frame byte, at a stride of two (the header is covered above).
+  for (size_t Pos = 16; Pos < Full.size(); Pos += 2) {
+    std::string Damaged = Full;
+    Damaged[Pos] = static_cast<char>(Damaged[Pos] ^ 0x5a);
+    writeFileBytes(P.Path, Damaged);
+    auto Store = openStore(P.Path);
+    ASSERT_NE(Store, nullptr) << "flip at " << Pos;
+    StoreStats S = Store->stats();
+    uint64_t Found = 0;
+    for (uint64_t I = 1; I <= 3; ++I) {
+      auto Canonical = Store->getAlias(aliasKey(I));
+      if (Canonical) {
+        ++Found;
+        // A surviving alias names its own result, never another one.
+        EXPECT_TRUE(*Canonical == key(I)) << "flip at " << Pos;
+      }
+      if (auto Got = Store->get(key(I))) {
+        ++Found;
+        expectEqualResults(*Got, sampleResult(I));
+      }
+    }
+    if (Found < 6) {
+      EXPECT_GT(S.CorruptSkipped + S.TruncatedBytes, 0u)
+          << "flip at " << Pos << " lost a frame without counting it";
+    }
+  }
+}
+
+TEST(ResultStoreTest, StoreWrittenBeforeAliasFramesOpensAndServesEveryRecord) {
+  // tests/data/result_store_v1.qstore was written by the store as it was
+  // before alias frames existed: six result records key(0..5) ->
+  // sampleResult(0..5), nothing else.
+  ScopedPath P(tempStorePath("v1"));
+  std::string Fixture =
+      readFileBytes(QLOSURE_TEST_DATA_DIR "/result_store_v1.qstore");
+  ASSERT_FALSE(Fixture.empty());
+  writeFileBytes(P.Path, Fixture);
+  for (bool ReadOnly : {true, false}) {
+    auto Store = openStore(P.Path, ReadOnly);
+    ASSERT_NE(Store, nullptr);
+    StoreStats S = Store->stats();
+    EXPECT_EQ(S.Records, 6u);
+    EXPECT_EQ(S.Aliases, 0u);
+    EXPECT_EQ(S.CorruptSkipped + S.TruncatedBytes, 0u);
+    for (uint64_t I = 0; I < 6; ++I) {
+      auto Got = Store->get(key(I));
+      ASSERT_NE(Got, nullptr) << "record " << I;
+      expectEqualResults(*Got, sampleResult(I));
+    }
+  }
+  // A current writer extends it with aliases; every record survives.
+  {
+    auto Store = openStore(P.Path);
+    ASSERT_NE(Store, nullptr);
+    ASSERT_TRUE(Store->putAlias(aliasKey(2), key(2)));
+  }
+  auto Store = openStore(P.Path);
+  ASSERT_NE(Store, nullptr);
+  EXPECT_EQ(Store->stats().Records, 6u);
+  EXPECT_EQ(Store->stats().Aliases, 1u);
+  auto Canonical = Store->getAlias(aliasKey(2));
+  ASSERT_TRUE(Canonical.has_value());
+  EXPECT_TRUE(*Canonical == key(2));
+  EXPECT_EQ(readFileBytes(P.Path).substr(0, Fixture.size()), Fixture)
+      << "appending must leave the existing bytes untouched";
 }

@@ -1928,6 +1928,230 @@ TEST(RouteBatchParityTest, RouteCoalescesOntoInFlightBatchItem) {
       << "the coalesced route must not schedule a job of its own";
 }
 
+//===----------------------------------------------------------------------===//
+// Raw-text alias key: warm hits never import; cold imports run on workers
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The daemon's stats document.
+json::Value fetchStats(Client &Conn) {
+  std::string Line;
+  EXPECT_TRUE(Conn.request("{\"op\":\"stats\"}", Line).ok());
+  return parseResponse(Line);
+}
+
+/// stats.latency.<Name>.count: how many times the daemon ran that layer.
+double latencyCount(Client &Conn, const char *Name) {
+  json::Value Stats = fetchStats(Conn);
+  const json::Value *H = Stats.get("latency")->get(Name);
+  EXPECT_NE(H, nullptr) << Name;
+  return H ? H->get("count")->asNumber() : -1;
+}
+
+/// sampleQasm() as other text: the same circuit with other whitespace
+/// and a comment, so its raw bytes (and raw key) differ.
+std::string sampleQasmRespelled() {
+  return "OPENQASM 2.0;\n"
+         "include \"qelib1.inc\";\n"
+         "// the same five-qubit circuit, spelled differently\n"
+         "qreg q[5];\n"
+         "h   q[0];\n"
+         "cx q[0], q[4];\n"
+         "cx q[1], q[3];\n"
+         "cx q[0], q[2];\n"
+         "cx q[4], q[1];\n"
+         "cx q[2], q[3];\n";
+}
+
+/// A two-qubit program whose user gates expand to 2^Top + ... + 2^Low
+/// CX gates. At (21, 10) that is 2^22 - 2^10: just under the importer's
+/// 4,194,304-gate budget, so it imports (for seconds) instead of failing
+/// fast as too_large.
+std::string doublingQasm(unsigned Top = 21, unsigned Low = 10) {
+  std::string Q = "OPENQASM 2.0;\nqreg q[2];\ngate g0 a,b { cx a,b; }\n";
+  for (unsigned I = 1; I <= Top; ++I)
+    Q += formatString("gate g%u a,b { g%u a,b; g%u a,b; }\n", I, I - 1,
+                      I - 1);
+  for (unsigned I = Top; I >= Low; --I)
+    Q += formatString("g%u q[0],q[1];\n", I);
+  return Q;
+}
+
+/// Seconds an unbounded import of doublingQasm() takes in this process,
+/// extrapolated from the same program family at a sixteenth of the size
+/// (the expansion costs the same per gate): the yardstick for "the
+/// deadline cut the import short", which scales with the build (Release
+/// or sanitized) and the host.
+double nearBudgetImportSeconds() {
+  const std::string Small = doublingQasm(17, 6);
+  const auto Start = std::chrono::steady_clock::now();
+  qasm::ImportResult Imported = qasm::importQasm(Small);
+  const double Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+  EXPECT_TRUE(Imported.succeeded()) << Imported.Error;
+  EXPECT_EQ(Imported.Circ->size(), (size_t(1) << 18) - (size_t(1) << 6));
+  return 16 * Seconds;
+}
+
+} // namespace
+
+TEST(ServerTest, RepeatedBytesHitWithoutImporting) {
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  std::string First, Second;
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), First).ok());
+  ASSERT_TRUE(responseOk(parseResponse(First))) << First;
+  EXPECT_EQ(latencyCount(Conn, "import_qasm"), 1);
+
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), Second).ok());
+  json::Value Doc = parseResponse(Second);
+  ASSERT_TRUE(responseOk(Doc)) << Second;
+  EXPECT_TRUE(Doc.get("result_cache_hit")->asBool()) << Second;
+  EXPECT_EQ(Doc.get("qasm")->asString(),
+            parseResponse(First).get("qasm")->asString());
+  json::Value Stats = fetchStats(Conn);
+  EXPECT_EQ(Stats.get("latency")->get("import_qasm")->get("count")->asNumber(),
+            1)
+      << "a repeat of identical bytes must not import again";
+  EXPECT_EQ(Stats.get("result_cache")->get("alias_hits")->asNumber(), 1);
+  EXPECT_EQ(Stats.get("scheduler")->get("submitted")->asNumber(), 1);
+}
+
+TEST(ServerTest, SameCircuitInOtherTextHitsAfterOneImport) {
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  std::string Line;
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), Line).ok());
+  json::Value Cold = parseResponse(Line);
+  ASSERT_TRUE(responseOk(Cold)) << Line;
+
+  // Other text, same circuit: one import on a worker finds the result
+  // under the canonical key, so nothing routes again.
+  ASSERT_TRUE(
+      Conn.request(routeRequest(sampleQasmRespelled()).dump(), Line).ok());
+  json::Value Respelled = parseResponse(Line);
+  ASSERT_TRUE(responseOk(Respelled)) << Line;
+  EXPECT_TRUE(Respelled.get("result_cache_hit")->asBool()) << Line;
+  EXPECT_EQ(Respelled.get("qasm")->asString(), Cold.get("qasm")->asString());
+  EXPECT_EQ(Respelled.get("stats")->dump(), Cold.get("stats")->dump());
+  EXPECT_EQ(latencyCount(Conn, "import_qasm"), 2);
+
+  // Both texts now have their alias: neither imports again.
+  for (const std::string &Qasm : {sampleQasmRespelled(), sampleQasm()}) {
+    ASSERT_TRUE(Conn.request(routeRequest(Qasm).dump(), Line).ok());
+    json::Value Doc = parseResponse(Line);
+    ASSERT_TRUE(responseOk(Doc)) << Line;
+    EXPECT_TRUE(Doc.get("result_cache_hit")->asBool()) << Line;
+  }
+  json::Value Stats = fetchStats(Conn);
+  EXPECT_EQ(Stats.get("latency")->get("import_qasm")->get("count")->asNumber(),
+            2);
+  EXPECT_EQ(Stats.get("result_cache")->get("alias_hits")->asNumber(), 2);
+  EXPECT_EQ(Stats.get("latency")->get("routing_loop")->get("count")->asNumber(),
+            1)
+      << "one circuit, one route";
+}
+
+TEST(ServerTest, ImportRunsUnderTheRequestDeadline) {
+  const std::string Qasm = doublingQasm();
+  const double FullImport = nearBudgetImportSeconds();
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  json::Value Req = routeRequest(Qasm);
+  Req.set("timeout_ms", 100);
+  const auto Start = std::chrono::steady_clock::now();
+  std::string Response;
+  ASSERT_TRUE(Conn.request(Req.dump(), Response).ok());
+  const double Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+  EXPECT_EQ(errorCode(parseResponse(Response)), errc::DeadlineExceeded)
+      << Response;
+  // An import that ignored the deadline would answer after FullImport.
+  EXPECT_LT(Seconds, 0.1 + 0.25 * FullImport)
+      << "unbounded import takes ~" << FullImport << " s";
+}
+
+TEST(ServerTest, CancelDuringImportAnswersCancelled) {
+  const std::string Qasm = doublingQasm();
+  const double FullImport = nearBudgetImportSeconds();
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  Client Control = Fixture.connect();
+  json::Value Req = routeRequest(Qasm);
+  Req.set("id", "imp");
+  ASSERT_TRUE(Conn.sendLine(Req.dump()).ok());
+  awaitSubmittedCount(Control, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto CancelAt = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Conn.sendLine(cancelRequest("imp").dump()).ok());
+  std::string Ack, Final;
+  ASSERT_TRUE(Conn.recvResponseFor("imp", Ack, {}, "cancel").ok());
+  EXPECT_TRUE(parseResponse(Ack).get("cancelled")->asBool()) << Ack;
+  ASSERT_TRUE(Conn.recvResponseFor("imp", Final, {}, "route").ok());
+  const double Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - CancelAt)
+                             .count();
+  EXPECT_EQ(errorCode(parseResponse(Final)), errc::Cancelled) << Final;
+  EXPECT_LT(Seconds, 0.25 * FullImport)
+      << "unbounded import takes ~" << FullImport << " s";
+}
+
+TEST(ServerTest, BatchMixingFailuresHitsAndMissesAnswersEveryItem) {
+  ServerFixture Fixture;
+  Client Conn = Fixture.connect();
+  std::string Line;
+  ASSERT_TRUE(Conn.request(routeRequest(sampleQasm()).dump(), Line).ok());
+  ASSERT_TRUE(responseOk(parseResponse(Line))) << Line;
+
+  // bad_qasm and too_large are worker outcomes now; the hit answers at
+  // triage and the miss routes. Every item still gets one frame, and the
+  // summary comes last.
+  const std::string Wide = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                           "qreg q[40];\ncx q[0],q[39];\n";
+  json::Value Req = batchRequest("mix", {{"bad", "qreg oops"},
+                                         {"wide", Wide},
+                                         {"hit", sampleQasm()},
+                                         {"miss", sampleQasm() + "h q[3];\n"}});
+  std::vector<std::string> Frames;
+  std::string Summary;
+  ASSERT_TRUE(Conn.sendLine(Req.dump()).ok());
+  ASSERT_TRUE(Conn.recvResponseFor(
+                      "mix", Summary,
+                      [&](const std::string &L) { Frames.push_back(L); },
+                      "batch")
+                  .ok());
+  ASSERT_EQ(Frames.size(), 4u) << Summary;
+  std::vector<int> Seen(4, 0);
+  for (const std::string &Frame : Frames) {
+    json::Value Item = parseResponse(Frame);
+    size_t Index = static_cast<size_t>(Item.get("index")->asNumber());
+    ASSERT_LT(Index, 4u);
+    ++Seen[Index];
+    if (Index < 2) {
+      EXPECT_EQ(errorCode(Item), Index == 0 ? errc::BadQasm : errc::TooLarge)
+          << Frame;
+      continue;
+    }
+    ASSERT_NE(Item.get("stats"), nullptr) << Frame;
+    EXPECT_EQ(Item.get("result_cache_hit")->asBool(), Index == 2) << Frame;
+  }
+  EXPECT_EQ(Seen, std::vector<int>(4, 1)) << "one frame per item";
+  json::Value Doc = parseResponse(Summary);
+  ASSERT_TRUE(responseOk(Doc)) << Summary;
+  EXPECT_EQ(Doc.get("succeeded")->asNumber(), 2);
+  EXPECT_EQ(Doc.get("failed")->asNumber(), 2);
+  const auto &Items = Doc.get("items")->items();
+  ASSERT_EQ(Items.size(), 4u);
+  EXPECT_EQ(Items[0].get("status")->asString(), errc::BadQasm);
+  EXPECT_EQ(Items[1].get("status")->asString(), errc::TooLarge);
+  EXPECT_EQ(Items[2].get("status")->asString(), "ok");
+  EXPECT_EQ(Items[3].get("status")->asString(), "ok");
+}
+
 TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
   std::string StorePath = formatString("/tmp/qls-store-%d-%u.qstore",
                                        static_cast<int>(getpid()), 0u);
@@ -1980,7 +2204,16 @@ TEST(ResultStoreServiceTest, WarmResultsSurviveRestart) {
     const json::Value *Store = StatsDoc.get("store");
     ASSERT_NE(Store, nullptr) << StatsLine;
     EXPECT_GE(Store->get("records")->asNumber(), 1);
+    EXPECT_GE(Store->get("aliases")->asNumber(), 1);
     EXPECT_GE(Store->get("hits")->asNumber(), 1);
+    // The stored alias answered the first repeat: nothing was imported.
+    EXPECT_EQ(StatsDoc.get("latency")
+                  ->get("import_qasm")
+                  ->get("count")
+                  ->asNumber(),
+              0)
+        << StatsLine;
+    EXPECT_EQ(StatsDoc.get("result_cache")->get("alias_hits")->asNumber(), 1);
     Daemon.requestStop();
     Waiter.join();
   }

@@ -355,6 +355,34 @@ TEST(TransportTest, LineReaderBoundAcceptsExactlyTheBoundAndRejectsEarly) {
   }
 }
 
+TEST(TransportTest, LineReaderDropsAnOverlongLinesTailButNotANewline) {
+  const size_t Bound = 16;
+  std::string Line;
+  {
+    // A chunk far past the bound, with a '\r' right after the bound:
+    // the dropped tail never turns the line into an accepted one.
+    LineReader Reader(Bound);
+    std::string Chunk = std::string(Bound, 'x') + "\r" +
+                        std::string(1000, 'y');
+    Reader.feed(Chunk.data(), Chunk.size());
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::TooLong);
+  }
+  {
+    // After a partial line, a chunk whose newline ends that line at the
+    // bound delivers it; only the unterminated rest is over the bound.
+    LineReader Reader(Bound);
+    std::string Head(10, 'a');
+    Reader.feed(Head.data(), Head.size());
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::NeedMore);
+    std::string Chunk = std::string(Bound - 10, 'b') + "\n" +
+                        std::string(1000, 'c');
+    Reader.feed(Chunk.data(), Chunk.size());
+    ASSERT_EQ(Reader.pop(Line), LineReader::Result::Line);
+    EXPECT_EQ(Line, Head + std::string(Bound - 10, 'b'));
+    EXPECT_EQ(Reader.pop(Line), LineReader::Result::TooLong);
+  }
+}
+
 TEST(TransportTest, LineReaderReadsFromASocketUntilEof) {
   int Pair[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the qlosured daemon with the real binaries: boot on
 # a temp socket, route a QUEKO circuit through qlosure-client, assert the
-# response verifies, assert the repeated request reports a cache hit,
+# response verifies, assert the repeated request reports a cache hit
+# without importing its QASM again,
 # assert from traces that only a mapper reading omega computes it,
 # cancel an in-flight deep route mid-flight (protocol v2), and shut the
 # daemon down cleanly over the protocol. Run by ctest (service-smoke) and
@@ -37,11 +38,24 @@ grep -q '"verified":true' "$RESP"
 grep -q '"cache_hit":false' "$RESP"
 echo "service-smoke: first request verified (cold)"
 
-# The identical request again must be served from the cache.
+# The daemon's QASM import count (stats.latency.import_qasm.count).
+import_count() {
+  "$BIN_DIR/qlosure-client" --socket "$SOCK" stats 2> /dev/null |
+    grep -o '"import_qasm":{"type":"histogram","count":[0-9]*' |
+    grep -o '[0-9]*$'
+}
+IMPORTS_BEFORE=$(import_count)
+
+# The identical request again must be served from the cache — without
+# importing its QASM again.
 "$BIN_DIR/qlosure-client" --socket "$SOCK" \
   route --backend aspen16 --stats-only --expect-cache-hit "$QASM" > "$RESP"
 grep -q '"verified":true' "$RESP"
-echo "service-smoke: repeated request hit the cache"
+grep -q '"result_cache_hit":true' "$RESP"
+IMPORTS_AFTER=$(import_count)
+[[ -n "$IMPORTS_BEFORE" && "$IMPORTS_BEFORE" -ge 1 ]]
+[[ "$IMPORTS_AFTER" == "$IMPORTS_BEFORE" ]]
+echo "service-smoke: repeated request hit the cache without an import"
 
 # Malformed traffic must produce structured errors, never kill the daemon.
 "$BIN_DIR/qlosure-client" --socket "$SOCK" route --mapper nope \
