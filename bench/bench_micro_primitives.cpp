@@ -7,7 +7,9 @@
 /// \file
 /// google-benchmark microbenchmarks for the library's primitives: APSP,
 /// DAG construction, the two omega engines, affine lifting, the symbolic
-/// transitive closure, and end-to-end routing of a mid-size circuit. These
+/// transitive closure, end-to-end routing of a mid-size circuit, and the
+/// OpenQASM front end (import and print of a 122 KB QUEKO text, and a
+/// small program whose nested gate definitions expand to 2^20 gates). These
 /// back the performance claims in EXPERIMENTS.md with reproducible
 /// numbers (run with --benchmark_filter=... as usual).
 ///
@@ -18,6 +20,8 @@
 #include "core/Qlosure.h"
 #include "deps/TransitiveWeights.h"
 #include "presburger/TransitiveClosure.h"
+#include "qasm/Importer.h"
+#include "qasm/Printer.h"
 #include "topology/Backends.h"
 #include "workloads/QasmBench.h"
 #include "workloads/Queko.h"
@@ -118,5 +122,51 @@ static void BM_RouteQlosureQft(benchmark::State &State) {
                           static_cast<int64_t>(C.size()));
 }
 BENCHMARK(BM_RouteQlosureQft)->Arg(16)->Arg(32)->Arg(63);
+
+/// printQasm of the depth-500 Sycamore54 QUEKO circuit (seed 1): 122 KB.
+static std::string quekoText() {
+  QuekoSpec Spec;
+  Spec.Depth = 500;
+  Spec.Seed = 1;
+  return qasm::printQasm(generateQueko(makeSycamore54(), Spec).Circ);
+}
+
+static void BM_ImportQasmQueko(benchmark::State &State) {
+  const std::string Text = quekoText();
+  for (auto _ : State) {
+    qasm::ImportResult R = qasm::importQasm(Text);
+    benchmark::DoNotOptimize(R.Circ->size());
+  }
+  State.SetBytesProcessed(State.iterations() *
+                          static_cast<int64_t>(Text.size()));
+}
+BENCHMARK(BM_ImportQasmQueko);
+
+static void BM_PrintQasmQueko(benchmark::State &State) {
+  const Circuit C = *qasm::importQasm(quekoText()).Circ;
+  for (auto _ : State) {
+    std::string Text = qasm::printQasm(C);
+    benchmark::DoNotOptimize(Text.data());
+  }
+  State.SetItemsProcessed(State.iterations() *
+                          static_cast<int64_t>(C.size()));
+}
+BENCHMARK(BM_PrintQasmQueko);
+
+/// 20 nested definitions, each calling the previous twice: 2^20 gates
+/// from under 600 bytes, the gate-expansion path.
+static void BM_ImportQasmDoubling(benchmark::State &State) {
+  std::string Text = "qreg q[1];\ngate g0 a { h a; }\n";
+  for (int I = 1; I <= 20; ++I)
+    Text += "gate g" + std::to_string(I) + " a { g" + std::to_string(I - 1) +
+            " a; g" + std::to_string(I - 1) + " a; }\n";
+  Text += "g20 q[0];\n";
+  for (auto _ : State) {
+    qasm::ImportResult R = qasm::importQasm(Text);
+    benchmark::DoNotOptimize(R.Circ->size());
+  }
+  State.SetItemsProcessed(State.iterations() * (int64_t(1) << 20));
+}
+BENCHMARK(BM_ImportQasmDoubling)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

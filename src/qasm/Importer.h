@@ -1,19 +1,23 @@
-//===- qasm/Importer.h - AST to circuit IR conversion ------------*- C++ -*-===//
+//===- qasm/Importer.h - One-pass OpenQASM 2.0 importer ----------*- C++ -*-===//
 //
 // Part of the Qlosure project. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lowers a parsed OpenQASM 2.0 program to the flat Circuit IR: flattens
-/// quantum registers into one index space, resolves the qelib1 builtin
-/// gates, inlines user-defined gates recursively, applies whole-register
-/// broadcasting, and evaluates parameter expressions. Imports are bounded:
-/// a program that declares or expands to more than a fixed budget of
-/// qubits or gates fails with ImportResult::OverBudget before it can
-/// exhaust memory or time. An import can also be bounded from outside:
-/// given a CancellationToken, lexing, parsing and lowering poll it and
-/// stop with ImportResult::Cancelled once it fires.
+/// Reads OpenQASM 2.0 source straight into the flat Circuit IR in one
+/// pass, with no token list and no syntax tree: each top-level statement
+/// is lowered as it is read (registers flatten into one index space,
+/// parameters are evaluated, whole registers broadcast, user gates stored
+/// in resolved form are inlined), so declarations must precede their use,
+/// as OpenQASM 2.0 requires. The qelib1 gates are built in; `include`
+/// reads no file.
+///
+/// Imports are bounded: a program that declares or expands to more than a
+/// fixed budget of qubits or gates fails with ImportResult::OverBudget
+/// before it can exhaust memory or time. Given a CancellationToken, the
+/// import polls it and stops with ImportResult::Cancelled once it fires.
+/// The library never throws; errors read "line L, column C: message".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +25,6 @@
 #define QLOSURE_QASM_IMPORTER_H
 
 #include "circuit/Circuit.h"
-#include "qasm/Ast.h"
 
 #include <optional>
 #include <string>
@@ -45,12 +48,8 @@ struct ImportResult {
   bool succeeded() const { return Circ.has_value(); }
 };
 
-/// Lowers \p Prog to a Circuit named \p Name, polling \p Cancel (when
-/// set) every few thousand emitted gates.
-ImportResult importProgram(const Program &Prog, const std::string &Name = "",
-                           const CancellationToken *Cancel = nullptr);
-
-/// Convenience: parse + import in one step, both polling \p Cancel.
+/// Imports \p Source as a Circuit named \p Name, polling \p Cancel when
+/// set.
 ImportResult importQasm(const std::string &Source,
                         const std::string &Name = "",
                         const CancellationToken *Cancel = nullptr);

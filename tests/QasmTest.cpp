@@ -5,162 +5,167 @@
 //===----------------------------------------------------------------------===//
 
 #include "qasm/Importer.h"
-#include "qasm/Lexer.h"
-#include "qasm/Parser.h"
 #include "qasm/Printer.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 
 using namespace qlosure;
 using namespace qlosure::qasm;
 
 //===----------------------------------------------------------------------===//
-// Lexer
+// Lexing, observed through importQasm
 //===----------------------------------------------------------------------===//
 
 TEST(LexerTest, BasicTokens) {
-  auto Tokens = tokenize("cx q[0],q[1];");
-  ASSERT_GE(Tokens.size(), 9u);
-  EXPECT_EQ(Tokens[0].Kind, TokenKind::Identifier);
-  EXPECT_EQ(Tokens[0].Text, "cx");
-  EXPECT_EQ(Tokens[2].Kind, TokenKind::LBracket);
-  EXPECT_EQ(Tokens[3].Kind, TokenKind::Integer);
-  EXPECT_EQ(Tokens.back().Kind, TokenKind::EndOfFile);
+  auto R = importQasm("qreg q[2];cx q[0],q[1];");
+  ASSERT_TRUE(R.succeeded()) << R.Error;
+  ASSERT_EQ(R.Circ->size(), 1u);
+  EXPECT_EQ(R.Circ->gate(0).Kind, GateKind::CX);
+  EXPECT_EQ(R.Circ->gate(0).Qubits[0], 0);
+  EXPECT_EQ(R.Circ->gate(0).Qubits[1], 1);
 }
 
 TEST(LexerTest, CommentsSkipped) {
-  auto Tokens = tokenize("// line\nh /* block */ q;");
-  EXPECT_EQ(Tokens[0].Text, "h");
-  EXPECT_EQ(Tokens[1].Text, "q");
+  auto R = importQasm("// line h q;\nqreg q[1];\nh /* block x q; */ q;\n"
+                      "/* multi\nline */ // trailing");
+  ASSERT_TRUE(R.succeeded()) << R.Error;
+  ASSERT_EQ(R.Circ->size(), 1u);
+  EXPECT_EQ(R.Circ->gate(0).Kind, GateKind::H);
 }
 
 TEST(LexerTest, NumbersAndArrow) {
-  auto Tokens = tokenize("3.25e-2 -> 7");
-  EXPECT_EQ(Tokens[0].Kind, TokenKind::Real);
-  EXPECT_EQ(Tokens[1].Kind, TokenKind::Arrow);
-  EXPECT_EQ(Tokens[2].Kind, TokenKind::Integer);
+  auto R = importQasm("qreg q[8]; creg c[8]; rz(3.25e-2) q[7]; "
+                      "measure q[7] -> c[7];");
+  ASSERT_TRUE(R.succeeded()) << R.Error;
+  ASSERT_EQ(R.Circ->size(), 2u);
+  EXPECT_EQ(R.Circ->gate(0).Params[0], 3.25e-2);
+  EXPECT_EQ(R.Circ->gate(0).Qubits[0], 7);
+  EXPECT_EQ(R.Circ->gate(1).Kind, GateKind::Measure);
 }
 
 TEST(LexerTest, PositionsTracked) {
-  auto Tokens = tokenize("h q;\ncx a,b;");
-  EXPECT_EQ(Tokens[0].Line, 1u);
-  EXPECT_EQ(Tokens[3].Line, 2u); // "cx".
-  EXPECT_EQ(Tokens[3].Column, 1u);
+  auto R = importQasm("qreg q[1];\nh q;\ncx a,b;");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(startsWith(R.Error, "line 3, column 4: ")) << R.Error;
 }
 
 TEST(LexerTest, ErrorToken) {
-  auto Tokens = tokenize("h q; $");
-  EXPECT_EQ(Tokens.back().Kind, TokenKind::Error);
+  auto R = importQasm("qreg q[1]; h q[0]; $");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(startsWith(R.Error, "line 1, column 20: ")) << R.Error;
+  EXPECT_NE(R.Error.find("unexpected character '$'"), std::string::npos);
 }
 
 TEST(LexerTest, MalformedExponentIsError) {
-  // An exponent marker with no digits must not lex as Real ("1e" used to
-  // reach std::stod downstream and throw).
-  for (const char *Source : {"1e", "1e+", "2.5E-", "rx(1e) q[0];"}) {
-    auto Tokens = tokenize(Source);
-    EXPECT_EQ(Tokens.back().Kind, TokenKind::Error) << Source;
-    EXPECT_NE(Tokens.back().Text.find("exponent"), std::string::npos)
-        << Source;
+  // An exponent marker with no digits is not a number.
+  for (const char *Literal : {"1e", "1e+", "2.5E-", "1e)"}) {
+    auto R = importQasm(std::string("qreg q[1];\nrx(") + Literal + " q[0];");
+    ASSERT_FALSE(R.succeeded()) << Literal;
+    EXPECT_TRUE(startsWith(R.Error, "line 2, column 4: ")) << R.Error;
+    EXPECT_NE(R.Error.find("exponent"), std::string::npos) << R.Error;
   }
 }
 
 TEST(LexerTest, WellFormedExponentsStillLex) {
-  for (const char *Source : {"1e5", "1e+5", "2.5E-3", "0.5e0"}) {
-    auto Tokens = tokenize(Source);
-    ASSERT_EQ(Tokens.size(), 2u) << Source; // Real + EndOfFile.
-    EXPECT_EQ(Tokens[0].Kind, TokenKind::Real) << Source;
-    EXPECT_EQ(Tokens[0].Text, Source);
+  for (const char *Literal :
+       {"1e5", "1e+5", "2.5E-3", "0.5e0", ".5", "2.", "007"}) {
+    auto R = importQasm(std::string("qreg q[1]; rx(") + Literal + ") q[0];");
+    ASSERT_TRUE(R.succeeded()) << Literal << ": " << R.Error;
+    EXPECT_EQ(R.Circ->gate(0).Params[0], std::strtod(Literal, nullptr))
+        << Literal;
   }
 }
 
 TEST(LexerTest, UnterminatedStringIsError) {
-  auto Tokens = tokenize("include \"qelib1.inc;\n");
-  EXPECT_EQ(Tokens.back().Kind, TokenKind::Error);
-  EXPECT_NE(Tokens.back().Text.find("unterminated"), std::string::npos);
+  auto R = importQasm("include \"qelib1.inc;\nqreg q[1];\n");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(startsWith(R.Error, "line 1, column 9: ")) << R.Error;
+  EXPECT_NE(R.Error.find("unterminated"), std::string::npos);
 }
 
 TEST(ParserTest, MalformedExponentSurfacesAsParseError) {
-  auto R = parseQasm("OPENQASM 2.0;\nqreg q[1];\nrx(1e) q[0];\n");
+  auto R = importQasm("OPENQASM 2.0;\nqreg q[1];\nrx(1e) q[0];\n");
   EXPECT_FALSE(R.succeeded());
   EXPECT_NE(R.Error.find("exponent"), std::string::npos) << R.Error;
 }
 
 //===----------------------------------------------------------------------===//
-// Parser
+// Statements and expressions
 //===----------------------------------------------------------------------===//
 
 TEST(ParserTest, HeaderAndRegisters) {
-  auto R = parseQasm("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\n"
-                     "creg c[5];\n");
+  auto R = importQasm("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[5];\n"
+                      "creg c[5];\n");
   ASSERT_TRUE(R.succeeded()) << R.Error;
-  EXPECT_EQ(R.Prog->Version, "2.0");
-  ASSERT_EQ(R.Prog->Includes.size(), 1u);
-  EXPECT_EQ(R.Prog->Statements.size(), 2u);
-  EXPECT_TRUE(R.Prog->Statements[0].Reg.IsQuantum);
-  EXPECT_EQ(R.Prog->Statements[0].Reg.Size, 5u);
+  EXPECT_EQ(R.Circ->numQubits(), 5u);
+  EXPECT_EQ(R.Circ->size(), 0u);
 }
 
 TEST(ParserTest, GateCallWithParams) {
-  auto R = parseQasm("qreg q[2]; rz(pi/4) q[1];");
+  auto R = importQasm("qreg q[2]; rz(pi/4) q[1];");
   ASSERT_TRUE(R.succeeded()) << R.Error;
-  const GateCall &Call = R.Prog->Statements[1].Call;
-  EXPECT_EQ(Call.Name, "rz");
-  ASSERT_EQ(Call.Params.size(), 1u);
-  auto V = Call.Params[0]->evaluate({});
-  ASSERT_TRUE(V.has_value());
-  EXPECT_NEAR(*V, M_PI / 4, 1e-12);
+  ASSERT_EQ(R.Circ->size(), 1u);
+  EXPECT_EQ(R.Circ->gate(0).Kind, GateKind::RZ);
+  EXPECT_EQ(R.Circ->gate(0).Qubits[0], 1);
+  EXPECT_NEAR(R.Circ->gate(0).Params[0], M_PI / 4, 1e-12);
 }
 
 TEST(ParserTest, ExpressionPrecedence) {
-  auto R = parseQasm("qreg q[1]; rz(1+2*3) q[0];");
+  auto R = importQasm("qreg q[1]; rz(1+2*3) q[0];");
   ASSERT_TRUE(R.succeeded()) << R.Error;
-  auto V = R.Prog->Statements[1].Call.Params[0]->evaluate({});
-  EXPECT_DOUBLE_EQ(*V, 7.0);
+  EXPECT_DOUBLE_EQ(R.Circ->gate(0).Params[0], 7.0);
 }
 
 TEST(ParserTest, UnaryMinusAndPower) {
-  auto R = parseQasm("qreg q[1]; rz(-2^2) q[0];");
+  auto R = importQasm("qreg q[1]; rz(-2^2) q[0];");
   ASSERT_TRUE(R.succeeded()) << R.Error;
-  auto V = R.Prog->Statements[1].Call.Params[0]->evaluate({});
-  EXPECT_DOUBLE_EQ(*V, -4.0);
+  EXPECT_DOUBLE_EQ(R.Circ->gate(0).Params[0], -4.0);
 }
 
 TEST(ParserTest, GateDefinition) {
-  auto R = parseQasm("gate majority a,b,c { cx c,b; cx c,a; ccx a,b,c; }\n"
-                     "qreg q[3]; majority q[0],q[1],q[2];");
+  auto R = importQasm("gate majority a,b,c { cx c,b; cx c,a; ccx a,b,c; }\n"
+                      "qreg q[3]; majority q[0],q[1],q[2];");
   ASSERT_TRUE(R.succeeded()) << R.Error;
-  const GateDef &Def = R.Prog->Statements[0].Gate;
-  EXPECT_EQ(Def.Name, "majority");
-  EXPECT_EQ(Def.QubitNames.size(), 3u);
-  EXPECT_EQ(Def.Body.size(), 3u);
+  ASSERT_EQ(R.Circ->size(), 3u);
+  EXPECT_EQ(R.Circ->gate(0).Qubits[0], 2);
+  EXPECT_EQ(R.Circ->gate(0).Qubits[1], 1);
+  EXPECT_EQ(R.Circ->gate(1).Qubits[1], 0);
+  EXPECT_EQ(R.Circ->gate(2).Kind, GateKind::CCX);
 }
 
 TEST(ParserTest, MeasureAndBarrier) {
-  auto R = parseQasm("qreg q[2]; creg c[2]; measure q[0] -> c[0]; "
-                     "barrier q;");
+  auto R = importQasm("qreg q[2]; creg c[2]; measure q[0] -> c[0]; "
+                      "barrier q;");
   ASSERT_TRUE(R.succeeded()) << R.Error;
-  EXPECT_EQ(R.Prog->Statements[2].StmtKind, Statement::Kind::Measure);
-  EXPECT_EQ(R.Prog->Statements[3].StmtKind, Statement::Kind::Barrier);
+  ASSERT_EQ(R.Circ->size(), 3u);
+  EXPECT_EQ(R.Circ->gate(0).Kind, GateKind::Measure);
+  EXPECT_EQ(R.Circ->gate(1).Kind, GateKind::Barrier);
+  EXPECT_EQ(R.Circ->gate(2).Qubits[0], 1);
 }
 
 TEST(ParserTest, ErrorsCarryPosition) {
-  auto R = parseQasm("qreg q[2];\ncx q[0] q[1];"); // Missing comma.
+  auto R = importQasm("qreg q[2];\ncx q[0] q[1];"); // Missing comma.
   ASSERT_FALSE(R.succeeded());
   EXPECT_NE(R.Error.find("line 2"), std::string::npos);
 }
 
 TEST(ParserTest, RejectsClassicalControl) {
-  auto R = parseQasm("qreg q[1]; creg c[1]; if (c==1) x q[0];");
-  EXPECT_FALSE(R.succeeded());
+  auto R = importQasm("qreg q[1]; creg c[1]; if (c==1) x q[0];");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_NE(R.Error.find("'if'"), std::string::npos) << R.Error;
 }
 
-// Parentheses, unary minus and '^' recurse, and operator chains build
-// equally deep trees; hostile nesting must end in a positioned parse
-// error, not a stack overflow.
+// Parentheses, unary minus and '^' recurse, and operator chains count
+// one level per operator; hostile nesting must end in a positioned error,
+// not a stack overflow.
 TEST(ParserTest, DeepNestingFailsCleanly) {
   auto chain = [](const char *Link, int Count) {
     std::string Text = "2";
@@ -176,18 +181,24 @@ TEST(ParserTest, DeepNestingFailsCleanly) {
       chain("*2", 200000),
   };
   for (const std::string &Expr : Deep) {
-    auto R = parseQasm("OPENQASM 2.0;\nqreg q[1];\nrz(" + Expr + ") q[0];\n");
+    auto R = importQasm("OPENQASM 2.0;\nqreg q[1];\nrz(" + Expr + ") q[0];\n");
     ASSERT_FALSE(R.succeeded()) << Expr.substr(0, 16);
     EXPECT_EQ(R.Error.rfind("line 3, column ", 0), 0u) << R.Error;
     EXPECT_NE(R.Error.find("nested too deeply"), std::string::npos)
         << R.Error;
+    // The bound holds inside gate bodies too.
+    auto Body = importQasm("qreg q[1];\ngate g(t) a { rz(" + Expr +
+                           ") a; }\ng(1) q[0];\n");
+    ASSERT_FALSE(Body.succeeded());
+    EXPECT_EQ(Body.Error.rfind("line 2, column ", 0), 0u) << Body.Error;
   }
 }
 
 TEST(ParserTest, ModerateNestingStillParses) {
-  auto R = parseQasm("qreg q[1]; rz(" + std::string(100, '(') + "-pi/2" +
-                     std::string(100, ')') + "^--2) q[0];");
+  auto R = importQasm("qreg q[1]; rz(" + std::string(100, '(') + "-pi/2" +
+                      std::string(100, ')') + "^--2) q[0];");
   ASSERT_TRUE(R.succeeded()) << R.Error;
+  EXPECT_DOUBLE_EQ(R.Circ->gate(0).Params[0], M_PI * M_PI / 4);
 }
 
 //===----------------------------------------------------------------------===//
@@ -270,6 +281,50 @@ TEST(ImporterTest, ErrorsOnIndexOutOfRange) {
 TEST(ImporterTest, ErrorsOnArityMismatch) {
   auto R = importQasm("qreg q[3]; cx q[0];");
   ASSERT_FALSE(R.succeeded());
+}
+
+// OpenQASM 2.0 declares before use; the importer reads in one pass, so a
+// register or gate used before its declaration is unknown at that point.
+TEST(ImporterTest, DeclarationPrecedesUse) {
+  auto LateReg = importQasm("h q[0];\nqreg q[1];\n");
+  ASSERT_FALSE(LateReg.succeeded());
+  EXPECT_TRUE(startsWith(LateReg.Error, "line 1, column 3: ")) << LateReg.Error;
+  EXPECT_NE(LateReg.Error.find("unknown quantum register 'q'"),
+            std::string::npos);
+
+  auto LateGate = importQasm("qreg q[1];\ng q[0];\ngate g a { h a; }\n");
+  ASSERT_FALSE(LateGate.succeeded());
+  EXPECT_TRUE(startsWith(LateGate.Error, "line 2, column 1: "))
+      << LateGate.Error;
+  EXPECT_NE(LateGate.Error.find("unknown gate 'g'"), std::string::npos);
+
+  // A body may only call gates defined before it, so no definition can
+  // call itself.
+  auto Recursive = importQasm("qreg q[1];\ngate g a { g a; }\ng q[0];\n");
+  ASSERT_FALSE(Recursive.succeeded());
+  EXPECT_NE(Recursive.Error.find("unknown gate 'g'"), std::string::npos);
+  auto Forward = importQasm("qreg q[1];\ngate f a { g a; }\n"
+                            "gate g a { h a; }\nf q[0];\n");
+  ASSERT_FALSE(Forward.succeeded());
+
+  auto InOrder = importQasm("qreg q[1];\ngate g a { h a; }\n"
+                            "gate f a { g a; }\nf q[0];\n");
+  ASSERT_TRUE(InOrder.succeeded()) << InOrder.Error;
+  EXPECT_EQ(InOrder.Circ->size(), 1u);
+}
+
+TEST(ImporterTest, NestingPastTheLimitIsRejected) {
+  std::string Chain = "qreg q[1];\ngate g0 a { h a; }\n";
+  for (int I = 1; I <= 70; ++I)
+    Chain += formatString("gate g%d a { g%d a; }\n", I, I - 1);
+  auto Deep = importQasm(Chain + "g70 q[0];\n");
+  ASSERT_FALSE(Deep.succeeded());
+  EXPECT_FALSE(Deep.OverBudget);
+  EXPECT_NE(Deep.Error.find("too deep"), std::string::npos) << Deep.Error;
+  // Defining the chain is fine; a call at depth 63 still expands.
+  auto Shallow = importQasm(Chain + "g63 q[0];\n");
+  ASSERT_TRUE(Shallow.succeeded()) << Shallow.Error;
+  EXPECT_EQ(Shallow.Circ->size(), 1u);
 }
 
 namespace {
@@ -355,4 +410,29 @@ TEST(PrinterTest, EmitsMeasureWithCreg) {
   std::string Text = printQasm(C);
   EXPECT_NE(Text.find("creg c[2];"), std::string::npos);
   EXPECT_NE(Text.find("measure q[1] -> c[1];"), std::string::npos);
+}
+
+// printQasm writes angles with std::to_chars; they must be the bytes
+// printf's "%.17g" writes, special values included.
+TEST(PrinterTest, AnglesPrintAsPrintfG17) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> Values = {0.0,    -0.0,   Inf,     -Inf,   NaN,
+                                -NaN,   M_PI,   -M_PI_2, 0.1,    1e-300,
+                                1e300,  5e-324, -5e-324, 2.2250738585072009e-308,
+                                1e16,   1e17,   123456789012345678.0};
+  uint64_t State = 0x9E3779B97F4A7C15ULL;
+  for (int I = 0; I < 20000; ++I) {
+    State = State * 6364136223846793005ULL + 1442695040888963407ULL;
+    double V;
+    std::memcpy(&V, &State, sizeof(V));
+    Values.push_back(V);
+  }
+  Circuit C(1);
+  std::string Want = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\n";
+  for (double V : Values) {
+    C.add1Q(GateKind::RZ, 0, V);
+    Want += formatString("rz(%.17g) q[0];\n", V);
+  }
+  EXPECT_EQ(printQasm(C), Want);
 }

@@ -35,6 +35,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/ShardRouter.h"
+#include "support/Allocator.h"
 #include "support/Log.h"
 
 #include <csignal>
@@ -65,6 +66,7 @@ int usage(const char *Argv0) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  pinMallocThresholds();
   RouterOptions Opts;
   log::Level LogLevel = log::Level::Off;
   std::string LogFile;

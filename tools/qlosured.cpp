@@ -45,6 +45,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Server.h"
+#include "support/Allocator.h"
 #include "support/Log.h"
 
 #include <csignal>
@@ -77,6 +78,7 @@ int usage(const char *Argv0) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  pinMallocThresholds();
   ServerOptions Opts;
   log::Level LogLevel = log::Level::Off;
   std::string LogFile;
