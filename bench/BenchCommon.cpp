@@ -15,6 +15,7 @@
 #include "topology/Backends.h"
 #include "support/Table.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +37,9 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc) {
       Config.Threads =
           static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
+    } else if (std::strcmp(Argv[I], "--reps") == 0 && I + 1 < Argc) {
+      Config.Reps = std::max(
+          1u, static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10)));
     } else if (std::strcmp(Argv[I], "--fleet") == 0 && I + 1 < Argc) {
       Config.Fleet =
           static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
@@ -45,7 +49,7 @@ BenchConfig qlosure::bench::parseArgs(int Argc, char **Argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--full] [--seed N] [--no-verify] "
-                   "[--affine] [--threads N] [--fleet N]\n",
+                   "[--affine] [--reps N] [--threads N] [--fleet N]\n",
                    Argv[0]);
       std::exit(2);
     }

@@ -42,6 +42,9 @@ struct BenchConfig {
   /// append a fleet-throughput section (bench_service_throughput; other
   /// binaries accept and ignore the flag). 0 disables the fleet tier.
   unsigned Fleet = 0;
+  /// --reps N: timed repetitions (bench_kernel_throughput reports the
+  /// median and IQR over them; other binaries accept and ignore it).
+  unsigned Reps = 1;
   /// --threads N: BatchRunner workers (0 = hardware concurrency).
   /// Results are identical for every thread count, except where QMAP's
   /// wall-clock budget trips under load (see BatchRunner.h). Benches

@@ -7,9 +7,12 @@
 /// \file
 /// Throughput of the five routing kernels: every QUEKO 54-qbt depth-500
 /// instance (generated on sycamore54, routed on sherbrooke) is routed once
-/// per mapper through one reused RoutingScratch, and the bench reports
-/// swaps/sec and gates/sec per mapper. Every routed circuit is checked
-/// with verifyRouting unless --no-verify is given. Byte identity of the
+/// per mapper and repetition through one reused RoutingScratch, and the
+/// bench reports swaps/sec and gates/sec per mapper. --reps N repeats the
+/// whole sweep N times, interleaving the mappers within each repetition,
+/// and reports the median and IQR of each mapper's per-sweep kernel time
+/// plus the host it ran on. Every routed circuit is checked with
+/// verifyRouting unless --no-verify is given. Byte identity of the
 /// kernels is not checked here: tests/KernelGoldenTest.cpp pins every
 /// mapper's output on this sweep with committed golden digests.
 ///
@@ -26,14 +29,19 @@
 ///     "workload": "queko-54qbt-d500",   // generation set + pinned depth
 ///     "gen_device": "sycamore54",
 ///     "backend": "sherbrooke",
-///     "instances": <int>,               // circuits routed per mapper
+///     "instances": <int>,               // circuits routed per sweep
+///     "reps": <int>,                    // timed sweeps per mapper
+///     "host": { "cpu": <string>, "nproc": <int>, "build_type": <string> },
 ///     "verify": <string>,               // "passed" | "failed" | "skipped"
 ///     "mappers": [
 ///       { "name": <string>,            // mapper display name
-///         "swaps": <int>,               // total inserted swaps
-///         "routed_gates": <int>,        // total routed gates incl. swaps
-///         "kernel_seconds": <float>,    // routing wall clock
-///         "kernel_swaps_per_sec": <float>,
+///         "swaps": <int>,               // inserted swaps per sweep
+///         "routed_gates": <int>,        // routed gates incl. swaps, per sweep
+///         "kernel_seconds": <float>,    // median routing wall clock per sweep
+///         "kernel_seconds_q1": <float>, // quartiles over the reps (the
+///         "kernel_seconds_q3": <float>, //   method perfbench uses)
+///         "kernel_seconds_iqr": <float>,
+///         "kernel_swaps_per_sec": <float>,  // from the median
 ///         "kernel_gates_per_sec": <float> }, ... ],
 ///     "affine_replay": {                  // only with --affine
 ///       "workload": <string>,
@@ -66,10 +74,20 @@
 #include "workloads/Queko.h"
 #include "workloads/Structured.h"
 
+#include <sched.h>
+
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifndef QLOSURE_BUILD_TYPE
+#define QLOSURE_BUILD_TYPE ""
+#endif
 
 using namespace qlosure;
 using namespace qlosure::bench;
@@ -112,10 +130,52 @@ bool resultsIdentical(const RoutingResult &A, const RoutingResult &B,
 
 struct MapperRow {
   std::string Name;
-  size_t Swaps = 0;
-  size_t RoutedGates = 0;
-  double KernelSeconds = 0;
+  size_t Swaps = 0;       ///< Per sweep (routing is deterministic).
+  size_t RoutedGates = 0; ///< Per sweep.
+  std::vector<double> SweepSeconds; ///< One entry per repetition.
 };
+
+/// {q1, median, q3} of \p V, computed like Python's
+/// statistics.quantiles(V, n=4) (the "exclusive" method perfbench uses).
+std::array<double, 3> quartiles(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  const long N = static_cast<long>(V.size());
+  if (N < 2)
+    return {V[0], V[0], V[0]};
+  std::array<double, 3> Q{};
+  for (long I = 1; I <= 3; ++I) {
+    const long J = std::clamp(I * (N + 1) / 4, 1L, N - 1);
+    const long Delta = I * (N + 1) - J * 4;
+    Q[static_cast<size_t>(I - 1)] =
+        (V[static_cast<size_t>(J - 1)] * static_cast<double>(4 - Delta) +
+         V[static_cast<size_t>(J)] * static_cast<double>(Delta)) /
+        4.0;
+  }
+  return Q;
+}
+
+/// CPU model (from /proc/cpuinfo) and usable cores; the build type is
+/// QLOSURE_BUILD_TYPE, which CMake defines for this bench.
+struct HostInfo {
+  std::string Cpu;
+  unsigned NumProcs = 0;
+};
+
+HostInfo hostInfo() {
+  HostInfo Host;
+  std::ifstream CpuInfo("/proc/cpuinfo");
+  for (std::string Line; std::getline(CpuInfo, Line);)
+    if (Line.rfind("model name", 0) == 0) {
+      size_t Colon = Line.find(':');
+      Host.Cpu = trimString(Line.substr(Colon == std::string::npos ? 0 : Colon + 1));
+      break;
+    }
+  cpu_set_t Set;
+  Host.NumProcs = sched_getaffinity(0, sizeof(Set), &Set) == 0
+                      ? static_cast<unsigned>(CPU_COUNT(&Set))
+                      : std::thread::hardware_concurrency();
+  return Host;
+}
 
 /// The five kernel mappers with default options, except that QMAP's
 /// wall-clock budget is effectively unlimited so its decisions do not
@@ -163,44 +223,55 @@ int main(int Argc, char **Argv) {
   for (const RoutingContext &Ctx : Contexts)
     Ctx.dependenceWeights();
 
-  std::vector<MapperRow> Rows;
   bool AllValid = true;
 
   // One scratch reused across every run of every mapper — the deployment
   // shape (BatchRunner gives each worker thread exactly one).
   RoutingScratch Scratch;
 
-  for (const auto &Kernel : makeKernelMappers()) {
-    MapperRow Row;
-    Row.Name = Kernel->name();
-    for (size_t I = 0; I < Instances.size(); ++I) {
-      const RoutingContext &Ctx = Contexts[I];
-      Timer KernelClock;
-      RoutingResult Result = Kernel->routeWithIdentity(Ctx, Scratch);
-      Row.KernelSeconds += KernelClock.elapsedSeconds();
-      if (Config.Verify) {
-        VerifyResult V = verifyRouting(Ctx.circuit(), Ctx.hardware(), Result);
-        if (!V.Ok) {
-          AllValid = false;
-          std::fprintf(stderr, "error: %s routing of %s invalid: %s\n",
-                       Row.Name.c_str(), Instances[I].Circ.name().c_str(),
-                       V.Message.c_str());
+  // Repetition-major: every repetition times each mapper once, so host
+  // drift during the run lands on all mappers alike.
+  std::vector<std::unique_ptr<Router>> Kernels = makeKernelMappers();
+  std::vector<MapperRow> Rows(Kernels.size());
+  for (unsigned Rep = 0; Rep < Config.Reps; ++Rep)
+    for (size_t M = 0; M < Kernels.size(); ++M) {
+      MapperRow &Row = Rows[M];
+      Row.Name = Kernels[M]->name();
+      Row.Swaps = Row.RoutedGates = 0;
+      double Seconds = 0;
+      for (size_t I = 0; I < Instances.size(); ++I) {
+        const RoutingContext &Ctx = Contexts[I];
+        Timer KernelClock;
+        RoutingResult Result = Kernels[M]->routeWithIdentity(Ctx, Scratch);
+        Seconds += KernelClock.elapsedSeconds();
+        if (Config.Verify) {
+          VerifyResult V =
+              verifyRouting(Ctx.circuit(), Ctx.hardware(), Result);
+          if (!V.Ok) {
+            AllValid = false;
+            std::fprintf(stderr, "error: %s routing of %s invalid: %s\n",
+                         Row.Name.c_str(), Instances[I].Circ.name().c_str(),
+                         V.Message.c_str());
+          }
         }
+        Row.Swaps += Result.NumSwaps;
+        Row.RoutedGates += Result.Routed.size();
       }
-      Row.Swaps += Result.NumSwaps;
-      Row.RoutedGates += Result.Routed.size();
+      Row.SweepSeconds.push_back(Seconds);
     }
-    Rows.push_back(std::move(Row));
-  }
 
-  Table T({"Mapper", "Swaps", "Kernel s", "Swaps/s", "Gates/s"});
-  for (const MapperRow &Row : Rows)
+  const HostInfo Host = hostInfo();
+  std::printf("host: %s, nproc=%u, build=%s, reps=%u\n", Host.Cpu.c_str(),
+              Host.NumProcs, QLOSURE_BUILD_TYPE, Config.Reps);
+  Table T({"Mapper", "Swaps", "Median s", "IQR s", "Swaps/s", "Gates/s"});
+  for (const MapperRow &Row : Rows) {
+    auto [Q1, Median, Q3] = quartiles(Row.SweepSeconds);
     T.addRow({Row.Name, formatString("%zu", Row.Swaps),
-              formatString("%.3f", Row.KernelSeconds),
-              formatString("%.0f", static_cast<double>(Row.Swaps) /
-                                       Row.KernelSeconds),
-              formatString("%.0f", static_cast<double>(Row.RoutedGates) /
-                                       Row.KernelSeconds)});
+              formatString("%.4f", Median), formatString("%.4f", Q3 - Q1),
+              formatString("%.0f", static_cast<double>(Row.Swaps) / Median),
+              formatString("%.0f",
+                           static_cast<double>(Row.RoutedGates) / Median)});
+  }
   std::fputs(T.render().c_str(), stdout);
   const char *VerifyStatus =
       !Config.Verify ? "skipped" : (AllValid ? "passed" : "failed");
@@ -272,20 +343,28 @@ int main(int Argc, char **Argv) {
                  "  \"gen_device\": \"sycamore54\",\n"
                  "  \"backend\": \"sherbrooke\",\n"
                  "  \"instances\": %u,\n"
+                 "  \"reps\": %u,\n"
+                 "  \"host\": { \"cpu\": \"%s\", \"nproc\": %u, "
+                 "\"build_type\": \"%s\" },\n"
                  "  \"verify\": \"%s\",\n"
                  "  \"mappers\": [\n",
-                 Depth, NumInstances, VerifyStatus);
+                 Depth, NumInstances, Config.Reps, Host.Cpu.c_str(),
+                 Host.NumProcs, QLOSURE_BUILD_TYPE, VerifyStatus);
     for (size_t I = 0; I < Rows.size(); ++I) {
       const MapperRow &Row = Rows[I];
+      auto [Q1, Median, Q3] = quartiles(Row.SweepSeconds);
       std::fprintf(
           F,
           "    { \"name\": \"%s\", \"swaps\": %zu, \"routed_gates\": %zu,\n"
           "      \"kernel_seconds\": %.6f,\n"
+          "      \"kernel_seconds_q1\": %.6f,\n"
+          "      \"kernel_seconds_q3\": %.6f,\n"
+          "      \"kernel_seconds_iqr\": %.6f,\n"
           "      \"kernel_swaps_per_sec\": %.1f,\n"
           "      \"kernel_gates_per_sec\": %.1f }%s\n",
-          Row.Name.c_str(), Row.Swaps, Row.RoutedGates, Row.KernelSeconds,
-          static_cast<double>(Row.Swaps) / Row.KernelSeconds,
-          static_cast<double>(Row.RoutedGates) / Row.KernelSeconds,
+          Row.Name.c_str(), Row.Swaps, Row.RoutedGates, Median, Q1, Q3,
+          Q3 - Q1, static_cast<double>(Row.Swaps) / Median,
+          static_cast<double>(Row.RoutedGates) / Median,
           I + 1 < Rows.size() ? "," : "");
     }
     std::fprintf(F, "  ]%s\n", Config.Affine ? "," : "");

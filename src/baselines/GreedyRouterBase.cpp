@@ -9,8 +9,11 @@
 // route() calls sharing the scratch), the look-ahead window is the
 // epoch-stamped FrontLayerTracker one, and candidate physical qubits are
 // deduplicated with an epoch marker — no per-step heap allocation once the
-// scratch is warm. The decision sequence is pinned by the golden digests
-// of tests/KernelGoldenTest.cpp.
+// scratch is warm. The scored gates (blocked front 2Q gates, then the
+// extended window) depend only on the front, so their records are built
+// on the first SWAP after the front changed; each SWAP, scored or forced,
+// patches only the gates hosted on its two qubits. The decision sequence
+// is pinned by the golden digests of tests/KernelGoldenTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +42,10 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
 
   const CircuitDag &Dag = Ctx.dag();
   S.ensurePhys(Hw.numQubits());
-  // TouchingGates persists across route() calls; start from a clean slate
-  // in case the previous user of this scratch left entries behind.
-  S.clearTouchingGates();
+  // The scored-gate records persist across route() calls; start from a
+  // clean slate in case the previous user of this scratch left entries
+  // behind.
+  S.clearScoredGates();
   FrontLayerTracker Tracker(Dag, S);
   QubitMapping Phi = Initial;
   Rng TieBreaker(seed());
@@ -53,6 +57,8 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
   Result.RouterName = name();
 
   unsigned SwapsSinceProgress = 0;
+  // True when the front changed since the scored-gate records were built.
+  bool Stale = true;
 
   auto physOf = [&Phi](int32_t L) { return Phi.physOf(L); };
 
@@ -76,6 +82,13 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
         S.Decay[static_cast<size_t>(L1)] += decayIncrement();
       if (L2 >= 0)
         S.Decay[static_cast<size_t>(L2)] += decayIncrement();
+    }
+    if (!Stale) {
+      // Only the gates hosted on P1 or P2 moved.
+      S.swapScoredEndpoints(P1, P2);
+      for (unsigned P : {P1, P2})
+        for (uint32_t I : S.TouchingGates[P])
+          S.GreedyBaseDists[I] = Hw.distance(S.ScoredPA[I], S.ScoredPB[I]);
     }
   };
 
@@ -115,6 +128,7 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       if (usesDecay())
         std::fill(S.Decay.begin(), S.Decay.end(), 1.0);
       SwapsSinceProgress = 0;
+      Stale = true;
       continue;
     }
     if (Tracker.allExecuted())
@@ -137,97 +151,78 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       continue;
     }
 
-    // Phase 2: choose one SWAP.
-    S.FrontTwoQ.clear();
-    for (uint32_t G : Tracker.front())
-      if (Logical.gate(G).isTwoQubit())
-        S.FrontTwoQ.push_back(G);
-    std::sort(S.FrontTwoQ.begin(), S.FrontTwoQ.end());
+    // Phase 2: choose one SWAP. On the first SWAP of a front, collect the
+    // scored gates and record each one's physical endpoints and base
+    // (no-swap) distance, plus which gates each physical qubit hosts. A
+    // candidate swap (P1, P2) can only change the distance of gates
+    // hosted on P1 or P2, so the per-candidate work is a handful of
+    // recomputed entries instead of |front| + |extended| distance-matrix
+    // lookups. Distances are small integers, so the patched sums are
+    // bit-identical to full recomputation.
+    if (Stale) {
+      S.FrontTwoQ.clear();
+      for (uint32_t G : Tracker.front())
+        if (Logical.gate(G).isTwoQubit())
+          S.FrontTwoQ.push_back(G);
+      std::sort(S.FrontTwoQ.begin(), S.FrontTwoQ.end());
 
-    size_t WantExtended = extendedWindowSize(S.FrontTwoQ.size());
-    S.Extended.clear();
-    if (WantExtended) {
-      // Topological window includes the front; skip those entries.
-      const std::vector<uint32_t> &Window =
-          Tracker.topologicalWindow(S.FrontTwoQ.size() + 4 * WantExtended);
-      for (uint32_t G : Window) {
-        if (Tracker.isInFront(G) || !Logical.gate(G).isTwoQubit())
-          continue;
-        S.Extended.push_back(G);
-        if (S.Extended.size() >= WantExtended)
-          break;
+      size_t WantExtended = extendedWindowSize(S.FrontTwoQ.size());
+      S.Extended.clear();
+      if (WantExtended) {
+        // Topological window includes the front; skip those entries.
+        const std::vector<uint32_t> &Window =
+            Tracker.topologicalWindow(S.FrontTwoQ.size() + 4 * WantExtended);
+        for (uint32_t G : Window) {
+          if (Tracker.isInFront(G) || !Logical.gate(G).isTwoQubit())
+            continue;
+          S.Extended.push_back(G);
+          if (S.Extended.size() >= WantExtended)
+            break;
+        }
       }
+
+      S.clearScoredGates();
+      S.GreedyBaseDists.clear();
+      for (const std::vector<uint32_t> *Gates : {&S.FrontTwoQ, &S.Extended})
+        for (uint32_t GI : *Gates) {
+          const Gate &G = Logical.gate(GI);
+          unsigned PA = static_cast<unsigned>(Phi.physOf(G.Qubits[0]));
+          unsigned PB = static_cast<unsigned>(Phi.physOf(G.Qubits[1]));
+          S.addScoredGate(PA, PB);
+          S.GreedyBaseDists.push_back(Hw.distance(PA, PB));
+        }
+      Stale = false;
     }
+    const size_t NumFront = S.FrontTwoQ.size();
+    const size_t NumExt = S.Extended.size();
+    const size_t NumScored = NumFront + NumExt;
 
     // Candidate swaps on front physical qubits.
+    S.PFront.clear();
+    S.PhysSeen.beginEpoch();
+    for (size_t I = 0; I < NumFront; ++I)
+      for (unsigned P : {S.ScoredPA[I], S.ScoredPB[I]})
+        if (!S.PhysSeen.fresh(P)) {
+          S.PhysSeen.set(P, 1);
+          S.PFront.push_back(P);
+        }
+    std::sort(S.PFront.begin(), S.PFront.end());
     S.Candidates.clear();
-    {
-      S.PFront.clear();
-      S.PhysSeen.beginEpoch();
-      for (uint32_t GI : S.FrontTwoQ)
-        for (unsigned Q = 0; Q < 2; ++Q) {
-          unsigned P = static_cast<unsigned>(
-              Phi.physOf(Logical.gate(GI).Qubits[Q]));
-          if (!S.PhysSeen.fresh(P)) {
-            S.PhysSeen.set(P, 1);
-            S.PFront.push_back(P);
-          }
-        }
-      std::sort(S.PFront.begin(), S.PFront.end());
-      for (unsigned P1 : S.PFront)
-        for (unsigned P2 : Hw.neighbors(P1)) {
-          unsigned Lo = std::min(P1, P2), Hi = std::max(P1, P2);
-          bool Dup = false;
-          for (const auto &C : S.Candidates)
-            if (C.first == Lo && C.second == Hi) {
-              Dup = true;
-              break;
-            }
-          if (!Dup)
-            S.Candidates.push_back({Lo, Hi});
-        }
-    }
+    for (unsigned P1 : S.PFront)
+      for (unsigned P2 : Hw.neighbors(P1)) {
+        // Visiting the smaller P_front qubit P2 already added this pair.
+        if (P2 < P1 && S.PhysSeen.fresh(P2))
+          continue;
+        S.Candidates.push_back({std::min(P1, P2), std::max(P1, P2)});
+      }
     assert(!S.Candidates.empty() && "no candidates on a connected graph");
 
-    // Delta-rescoring setup: record each scored gate's current physical
-    // endpoints and base (no-swap) distance once per step, plus which
-    // gates each physical qubit hosts. A candidate swap (P1, P2) can only
-    // change the distance of gates hosted on P1 or P2, so the per-candidate
-    // work is one flat copy of the base distances plus a handful of
-    // recomputed entries — instead of |front| + |extended| distance-matrix
-    // lookups per candidate. Distances are small integers, so the patched
-    // arrays are bit-identical to full recomputation.
-    const size_t NumFront = S.FrontTwoQ.size();
-    const size_t NumScored = NumFront + S.Extended.size();
-    S.GreedyEndA.resize(NumScored);
-    S.GreedyEndB.resize(NumScored);
-    S.GreedyBaseDists.resize(NumScored);
-    S.clearTouchingGates();
-    for (size_t I = 0; I < NumScored; ++I) {
-      const Gate &G = Logical.gate(I < NumFront ? S.FrontTwoQ[I]
-                                                : S.Extended[I - NumFront]);
-      unsigned PA = static_cast<unsigned>(Phi.physOf(G.Qubits[0]));
-      unsigned PB = static_cast<unsigned>(Phi.physOf(G.Qubits[1]));
-      S.GreedyEndA[I] = PA;
-      S.GreedyEndB[I] = PB;
-      S.GreedyBaseDists[I] = Hw.distance(PA, PB);
-      if (S.TouchingGates[PA].empty())
-        S.TouchedPhys.push_back(PA);
-      S.TouchingGates[PA].push_back(static_cast<uint32_t>(I));
-      if (PB != PA) {
-        if (S.TouchingGates[PB].empty())
-          S.TouchedPhys.push_back(PB);
-        S.TouchingGates[PB].push_back(static_cast<uint32_t>(I));
-      }
-    }
-
-    // Lane scoring: the base (no-swap) sums are computed once per step;
-    // each candidate contributes integer deltas for its touched gates
-    // only, and the mapper's formula is then evaluated over the
+    // Lane scoring: the base (no-swap) sums are computed once per SWAP
+    // decision; each candidate contributes integer deltas for its touched
+    // gates only, and the mapper's formula is then evaluated over the
     // per-candidate SoA lanes (identical to the full per-candidate
     // recomputation because distance sums of small integers are exact in
     // double).
-    const size_t NumExt = S.Extended.size();
     uint64_t BaseFrontSum = 0, BaseExtSum = 0;
     for (size_t I = 0; I < NumFront; ++I)
       BaseFrontSum += S.GreedyBaseDists[I];
@@ -257,8 +252,8 @@ RoutingResult GreedyRouterBase::route(const RoutingContext &Ctx,
       S.TouchedNewD.clear();
       auto patchGatesOn = [&](unsigned P, unsigned Other) {
         for (uint32_t I : S.TouchingGates[P]) {
-          unsigned PA = S.GreedyEndA[I];
-          unsigned PB = S.GreedyEndB[I];
+          unsigned PA = S.ScoredPA[I];
+          unsigned PB = S.ScoredPB[I];
           // A gate hosted on both swapped qubits keeps its distance: skip
           // it so it is neither recomputed nor counted from both lists.
           if (PA == Other || PB == Other)

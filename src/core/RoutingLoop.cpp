@@ -4,15 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The main loop runs out of the caller's RoutingScratch: the look-ahead
-// window and the per-gate level map are epoch-stamped (O(1) reset per step
-// instead of O(numGates) refills), the per-qubit touching-gate lists are
-// cleared surgically via the touched-set, and every candidate/score array
-// is a reused flat buffer. Only the gates hosted on the two swapped qubits
-// contribute per-candidate term deltas (delta rescoring against the cached
-// per-layer base sums); Eq. 2 is then evaluated element-wise over SoA
-// candidate lanes. The decision sequence is pinned by the golden digests
-// of tests/KernelGoldenTest.cpp.
+// The main loop runs out of the caller's RoutingScratch. The look-ahead
+// window, its dependence-distance layers, the per-layer gate counts and
+// the scored-gate records (layer, omega, endpoints, base term) depend only
+// on the front, so they are built on the first SWAP after the front
+// changed; every gate execution marks them stale. Each SWAP, scored or
+// forced, patches only the records of the gates hosted on its two qubits.
+// The per-layer base sums are re-added once per SWAP decision in one flat
+// ordinal-order pass, the same additions in the same order as a rebuild,
+// so the scores are bit-identical to rebuilding the window every time.
+// Only the gates hosted on the two swapped qubits contribute
+// per-candidate term deltas; Eq. 2 is then evaluated element-wise over
+// SoA candidate lanes. The decision sequence is pinned by the golden
+// digests of tests/KernelGoldenTest.cpp.
 //
 // Replay hooks: every observable emission (program gate, SWAP, tie-break
 // decision, look-ahead window) passes through the attached ReplayDriver
@@ -50,9 +54,9 @@ RoutingLoop::RoutingLoop(const QlosureOptions &Options,
   // Memoized in the context; the first reader computes (and traces) it.
   if (Options.UseDependencyWeights)
     Weights = &Ctx.dependenceWeights(S.TraceSink);
-  // TouchingGates persists across route() calls; start from a clean
-  // slate in case the previous user left entries behind.
-  S.clearTouchingGates();
+  // The scored-gate records persist across route() calls; start from a
+  // clean slate in case the previous user left entries behind.
+  S.clearScoredGates();
   Result.Routed = Circuit(Hw.numQubits(), Logical.name() + ".routed");
   Result.InitialMapping = Initial;
   Result.RouterName = "Qlosure";
@@ -103,8 +107,7 @@ bool RoutingLoop::executeReadyGates() {
         S.Ready.push_back(G);
     std::sort(S.Ready.begin(), S.Ready.end()); // Deterministic order.
     for (uint32_t G : S.Ready) {
-      emitProgramGate(G);
-      Tracker.execute(G);
+      executeGate(G);
       Changed = true;
       Progress = true;
     }
@@ -134,6 +137,14 @@ void RoutingLoop::emitProgramGate(uint32_t GateId) {
     Replay->noteGateExecuted(GateId);
 }
 
+/// Emits and executes front gate \p GateId; the front changes, so the
+/// window must be rebuilt before the next scored SWAP.
+void RoutingLoop::executeGate(uint32_t GateId) {
+  emitProgramGate(GateId);
+  Tracker.execute(GateId);
+  WindowStale = true;
+}
+
 void RoutingLoop::emitSwap(unsigned P1, unsigned P2) {
   Result.Routed.addSwap(static_cast<int32_t>(P1), static_cast<int32_t>(P2));
   Result.InsertedSwapFlags.push_back(1);
@@ -146,19 +157,35 @@ void RoutingLoop::emitSwap(unsigned P1, unsigned P2) {
     S.Decay[static_cast<size_t>(L1)] += Options.DecayIncrement;
   if (L2 >= 0)
     S.Decay[static_cast<size_t>(L2)] += Options.DecayIncrement;
+  if (!WindowStale) {
+    // Only the gates hosted on P1 or P2 moved: re-seat them and refresh
+    // their base terms omega * D exactly as buildWindowLayers forms them.
+    S.swapScoredEndpoints(P1, P2);
+    for (unsigned P : {P1, P2})
+      for (uint32_t J : S.TouchingGates[P])
+        S.WinBase[J] =
+            S.WinOmega[J] *
+            static_cast<double>(Hw.distance(S.ScoredPA[J], S.ScoredPB[J]));
+  }
   if (Replay)
     Replay->noteSwapEmitted(P1, P2);
 }
 
-/// Builds the look-ahead window and its dependence-distance layers, then
-/// applies the best-scoring candidate SWAP.
+/// Builds the look-ahead window if the front changed since the last SWAP,
+/// then applies the best-scoring candidate SWAP.
 void RoutingLoop::routeOneSwap() {
   if (SwapsSinceProgress >= Options.MaxSwapsWithoutProgress) {
     forceResolveOldestGate();
     return;
   }
 
-  buildWindowLayers();
+  if (WindowStale)
+    buildWindowLayers();
+  // Per-layer base sums under the current mapping: one flat pass in
+  // ordinal order adds the same terms in the same order as a rebuild.
+  std::fill(S.LayerBaseSum.begin(), S.LayerBaseSum.end(), 0.0);
+  for (size_t J = 0; J < S.WinLevel.size(); ++J)
+    S.LayerBaseSum[S.WinLevel[J]] += S.WinBase[J];
   generateCandidates();
   assert(!S.Candidates.empty() && "no candidate SWAPs on a connected graph");
 
@@ -216,10 +243,12 @@ void RoutingLoop::forceResolveOldestGate() {
   SwapsSinceProgress = 0;
 }
 
-/// Populates S.Window / S.GateLevel / the layer accumulators for the
-/// current front.
+/// Populates S.Window / S.GateLevel / the per-layer gate counts and the
+/// scored-gate records for the current front and mapping.
 void RoutingLoop::buildWindowLayers() {
-  // n_f = distinct physical qubits hosting front-layer gate operands.
+  // n_f = distinct physical qubits hosting front-layer gate operands. A
+  // SWAP permutes physical qubits, so n_f (and with it the window size)
+  // is fixed for a front.
   S.PhysSeen.beginEpoch();
   unsigned NumFrontQubits = 0;
   for (uint32_t GI : Tracker.front()) {
@@ -239,8 +268,8 @@ void RoutingLoop::buildWindowLayers() {
   // the maximum predecessor level, incremented for two-qubit gates.
   // Single-qubit gates transmit their level without incrementing it —
   // only routable gates define dependence distance for Eq. 2. A stale
-  // GateLevel entry reads 0 = "outside the window" (the pre-scratch
-  // kernel zero-filled an O(numGates) array per step here).
+  // GateLevel entry reads 0 = "outside the window", so a rebuild costs
+  // no O(numGates) refill.
   S.GateLevel.beginEpoch();
   unsigned MaxLevel = 0;
   if (!Options.UseLayerStructure) {
@@ -270,20 +299,20 @@ void RoutingLoop::buildWindowLayers() {
     }
   }
 
-  // Per-layer 2Q-gate membership and base distance sums, plus the flat
-  // per-scored-gate records (layer, endpoints, omega, cached base term)
-  // the candidate delta pass reads — TouchingGates stores the scored
-  // ordinal, so rescoring never goes back to the Gate objects. Per-qubit
-  // touching lists are cleared surgically (only last step's touched
-  // qubits), keeping their capacity.
+  // Per-layer 2Q-gate counts plus the flat per-scored-gate records
+  // (layer, endpoints, omega, cached base term omega_g * D(PA, PB)) the
+  // candidate delta pass reads — TouchingGates stores the scored ordinal,
+  // so rescoring never goes back to the Gate objects. D stays the hop
+  // metric even in error-aware mode: a weighted metric has a per-edge
+  // error floor, so swaps toward true adjacency would not reduce it and
+  // routing would stop converging; error-awareness instead penalizes the
+  // candidate swap's own edge (see routeOneSwap).
   S.LayerGateCount.assign(MaxLevel + 1, 0);
   S.LayerBaseSum.assign(MaxLevel + 1, 0.0);
   S.WinLevel.clear();
-  S.WinPA.clear();
-  S.WinPB.clear();
   S.WinOmega.clear();
   S.WinBase.clear();
-  S.clearTouchingGates();
+  S.clearScoredGates();
   for (uint32_t G : S.Window) {
     const Gate &Gate2 = Logical.gate(G);
     if (!Gate2.isTwoQubit())
@@ -292,39 +321,20 @@ void RoutingLoop::buildWindowLayers() {
     ++S.LayerGateCount[L];
     unsigned PA = static_cast<unsigned>(Phi.physOf(Gate2.Qubits[0]));
     unsigned PB = static_cast<unsigned>(Phi.physOf(Gate2.Qubits[1]));
-    double Base = gateTerm(G, PA, PB);
-    S.LayerBaseSum[L] += Base;
-    uint32_t Ordinal = static_cast<uint32_t>(S.WinLevel.size());
+    double Omega = Options.UseDependencyWeights
+                       ? static_cast<double>((*Weights)[G]) + 1.0
+                       : 1.0;
     S.WinLevel.push_back(L);
-    S.WinPA.push_back(PA);
-    S.WinPB.push_back(PB);
-    S.WinOmega.push_back(Options.UseDependencyWeights
-                             ? static_cast<double>((*Weights)[G]) + 1.0
-                             : 1.0);
-    S.WinBase.push_back(Base);
-    if (S.TouchingGates[PA].empty())
-      S.TouchedPhys.push_back(PA);
-    S.TouchingGates[PA].push_back(Ordinal);
-    if (S.TouchingGates[PB].empty())
-      S.TouchedPhys.push_back(PB);
-    S.TouchingGates[PB].push_back(Ordinal);
+    S.WinOmega.push_back(Omega);
+    S.WinBase.push_back(Omega * static_cast<double>(Hw.distance(PA, PB)));
+    S.addScoredGate(PA, PB);
   }
+  WindowStale = false;
 
+  // A recording can only start at a period boundary, which gate
+  // execution reaches, so it always sees the rebuild of its first front.
   if (Replay)
     Replay->noteWindow(S.Window);
-}
-
-/// The scored term of gate \p G when its operands sit on \p PA / \p PB:
-/// omega_g * D(PA, PB) (omega forced to 1 without dependency weights).
-/// D stays the hop metric even in error-aware mode — a weighted metric
-/// has a per-edge error floor, so swaps toward true adjacency would not
-/// reduce it and routing would stop converging; error-awareness instead
-/// penalizes the candidate swap's own edge (see routeOneSwap).
-double RoutingLoop::gateTerm(uint32_t G, unsigned PA, unsigned PB) const {
-  double Omega = Options.UseDependencyWeights
-                     ? static_cast<double>((*Weights)[G]) + 1.0
-                     : 1.0;
-  return Omega * static_cast<double>(Hw.distance(PA, PB));
 }
 
 /// Fills S.Candidates with the swaps on P_front edges.
@@ -346,19 +356,13 @@ void RoutingLoop::generateCandidates() {
   }
   std::sort(S.PFront.begin(), S.PFront.end());
   S.Candidates.clear();
-  for (unsigned P1 : S.PFront) {
+  for (unsigned P1 : S.PFront)
     for (unsigned P2 : Hw.neighbors(P1)) {
-      unsigned Lo = std::min(P1, P2), Hi = std::max(P1, P2);
-      bool Duplicate = false;
-      for (const auto &C : S.Candidates)
-        if (C.first == Lo && C.second == Hi) {
-          Duplicate = true;
-          break;
-        }
-      if (!Duplicate)
-        S.Candidates.push_back({Lo, Hi});
+      // Visiting the smaller P_front qubit P2 already added this pair.
+      if (P2 < P1 && S.PhysSeen.fresh(P2))
+        continue;
+      S.Candidates.push_back({std::min(P1, P2), std::max(P1, P2)});
     }
-  }
 }
 
 /// Evaluates Eq. 2 for every candidate SWAP at once. Per candidate, only
@@ -377,8 +381,8 @@ void RoutingLoop::scoreCandidates() {
     auto [P1, P2] = S.Candidates[CI];
     auto adjustGatesOn = [&](unsigned P, unsigned Other) {
       for (uint32_t J : S.TouchingGates[P]) {
-        unsigned PA = S.WinPA[J];
-        unsigned PB = S.WinPB[J];
+        unsigned PA = S.ScoredPA[J];
+        unsigned PB = S.ScoredPB[J];
         if (PA == Other || PB == Other)
           continue; // Gate touches both swapped qubits: delta is zero.
         unsigned NewPA = PA == P1 ? P2 : (PA == P2 ? P1 : PA);
@@ -419,8 +423,7 @@ bool RoutingLoop::replayEmitGate(uint32_t GateId) {
   if (GateId >= Logical.size() || !Tracker.isInFront(GateId) ||
       !isExecutable(GateId))
     return false;
-  emitProgramGate(GateId);
-  Tracker.execute(GateId);
+  executeGate(GateId);
   return true;
 }
 

@@ -12,13 +12,12 @@
 /// check, and the decision sequence stays byte-identical to the driver-free
 /// implementation (tests/KernelGoldenTest.cpp pins it).
 ///
-/// The look-ahead window and the per-gate level map are epoch-stamped
-/// (O(1) reset per step instead of O(numGates) refills), the per-qubit
-/// touching-gate lists are cleared surgically via the touched-set, and
-/// every candidate/score array is a reused flat buffer. Only the gates
-/// hosted on the two swapped qubits contribute per-candidate term deltas;
-/// the deltas land in layer-major SoA lanes and Eq. 2 is then evaluated
-/// element-wise across all candidates at once.
+/// The look-ahead window, its dependence-distance layers and omega weights
+/// depend only on the front layer, so they are built once per front: on
+/// the first SWAP after any gate executed. A SWAP then only re-seats the
+/// scored gates hosted on its two qubits. Only those gates contribute
+/// per-candidate term deltas; the deltas land in layer-major SoA lanes and
+/// Eq. 2 is then evaluated element-wise across all candidates at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,11 +60,11 @@ private:
   bool executeReadyGates();
   bool isExecutable(uint32_t GateId) const;
   void emitProgramGate(uint32_t GateId);
+  void executeGate(uint32_t GateId);
   void emitSwap(unsigned P1, unsigned P2);
   void routeOneSwap();
   void forceResolveOldestGate();
   void buildWindowLayers();
-  double gateTerm(uint32_t G, unsigned PA, unsigned PB) const;
   void generateCandidates();
   void scoreCandidates();
 
@@ -99,6 +98,8 @@ private:
   unsigned LookaheadC = 0;
   unsigned SwapsSinceProgress = 0;
   bool BreakTiesOnError = false;
+  /// True when the front changed since the window was last built.
+  bool WindowStale = true;
 
   RoutingResult Result;
 };

@@ -555,10 +555,13 @@ private:
     }
     if (Def && Def->Levels > MaxGateNesting)
       return failAt(StmtAt, "user gate expansion too deep");
+    // The whole statement must fit before its first gate is emitted.
+    // Width <= 2^16 and Size <= 2^22 + 1, so the product cannot overflow.
+    if (uint64_t(Width) * (Def ? Def->Size : 1) >
+        MaxImportGates - Gates.size())
+      return gateBudgetExceeded();
 
     for (uint32_t B = 0; B < Width; ++B) {
-      if (Def && Def->Size > MaxImportGates - Gates.size())
-        return gateBudgetExceeded();
       QubitSlots.clear();
       for (const Operand &Arg : Args)
         QubitSlots.push_back(int32_t(Arg.Count == 1 ? Arg.Base : Arg.Base + B));

@@ -11,7 +11,7 @@
 /// Qlosure and all baseline routers. All mutable state lives in a
 /// caller-provided RoutingScratch, so constructing a tracker for every
 /// route() call reuses the previous call's buffer capacity and the
-/// per-step look-ahead window allocates nothing at all.
+/// per-front look-ahead window allocates nothing at all.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,4 +1,4 @@
-//===- route/RoutingScratch.h - Reusable per-step routing buffers -*- C++ -*-===//
+//===- route/RoutingScratch.h - Reusable routing buffers ----------*- C++ -*-===//
 //
 // Part of the Qlosure project. Distributed under the MIT license.
 //
@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The mutable counterpart of RoutingContext: one RoutingScratch owns every
-/// per-step buffer the routing kernels need — the front-layer state, the
-/// look-ahead BFS queue, candidate/score arrays, the Qlosure layer
-/// accumulators and the QMAP A* node pools. All of them are sized lazily
-/// and reused across steps *and* across route() calls, so after the first
-/// routing step of the first circuit the inner loop performs no heap
-/// allocation at all. Per-gate marker arrays are epoch-stamped
+/// buffer the routing kernels need — the front-layer state, the look-ahead
+/// BFS queue, the per-front scored-gate records, candidate/score arrays,
+/// the Qlosure layer accumulators and the QMAP A* node pools. All of them
+/// are sized lazily and reused across steps *and* across route() calls, so
+/// after the first routing step of the first circuit the inner loop
+/// performs no heap allocation at all. Per-gate marker arrays are epoch-stamped
 /// (EpochArray): "clearing" them is a generation-counter bump, not an
 /// O(numGates) refill, which removes the quadratic allocation/refill
 /// traffic the pre-PR-3 kernel paid on QUEKO-scale circuits.
@@ -173,7 +173,7 @@ private:
   uint32_t Epoch = 1;
 };
 
-/// All mutable per-step state of the routing kernels. Buffers are grouped
+/// All mutable state of the routing kernels. Buffers are grouped
 /// by owner; distinct owners never run interleaved on one scratch (one
 /// route() call at a time), so reuse across groups is safe.
 class RoutingScratch {
@@ -193,13 +193,56 @@ public:
   /// Grows every per-physical-qubit buffer to at least \p NumPhys entries.
   void ensurePhys(unsigned NumPhys);
 
-  /// Empties every non-empty TouchingGates bucket (TouchedPhys lists
-  /// exactly those) and resets TouchedPhys — the surgical O(touched)
-  /// clear every user of the pair must perform before repopulating.
-  void clearTouchingGates() {
+  /// Empties the scored-gate records. TouchingGates is cleared
+  /// surgically: only the buckets TouchedPhys names (every non-empty one)
+  /// are emptied, keeping their capacity.
+  void clearScoredGates() {
+    ScoredPA.clear();
+    ScoredPB.clear();
     for (unsigned P : TouchedPhys)
       TouchingGates[P].clear();
     TouchedPhys.clear();
+  }
+
+  /// Appends the next scored gate (ordinal ScoredPA.size()), hosted on
+  /// physical qubits \p PA and \p PB. Ordinals only grow, so every
+  /// TouchingGates list stays sorted.
+  void addScoredGate(unsigned PA, unsigned PB) {
+    uint32_t Ordinal = static_cast<uint32_t>(ScoredPA.size());
+    ScoredPA.push_back(PA);
+    ScoredPB.push_back(PB);
+    for (unsigned P : {PA, PB}) {
+      if (TouchingGates[P].empty())
+        TouchedPhys.push_back(P);
+      TouchingGates[P].push_back(Ordinal);
+    }
+  }
+
+  /// Re-seats the scored gates across a SWAP of physical qubits \p P1 and
+  /// \p P2: every gate listed under either qubit moves its endpoint on one
+  /// to the other, and the two TouchingGates lists trade places. Each list
+  /// stays in ascending ordinal order, so the records equal what a rebuild
+  /// from the new mapping would produce. TouchedPhys gains a qubit whose
+  /// list turns non-empty; it may then name a qubit twice, which
+  /// clearScoredGates tolerates. The caller refreshes whatever it caches
+  /// per gate from the (new) lists of P1 and P2.
+  void swapScoredEndpoints(unsigned P1, unsigned P2) {
+    auto Moved = [P1, P2](unsigned P) {
+      return P == P1 ? P2 : (P == P2 ? P1 : P);
+    };
+    for (uint32_t J : TouchingGates[P1]) {
+      ScoredPA[J] = Moved(ScoredPA[J]);
+      ScoredPB[J] = Moved(ScoredPB[J]);
+    }
+    for (uint32_t J : TouchingGates[P2]) {
+      if (ScoredPA[J] == P1 || ScoredPB[J] == P1)
+        continue; // Hosted on both qubits: already moved above.
+      ScoredPA[J] = Moved(ScoredPA[J]);
+      ScoredPB[J] = Moved(ScoredPB[J]);
+    }
+    if (TouchingGates[P1].empty() != TouchingGates[P2].empty())
+      TouchedPhys.push_back(TouchingGates[P1].empty() ? P1 : P2);
+    TouchingGates[P1].swap(TouchingGates[P2]);
   }
 
   /// Request-scoped trace sink, or null when tracing is off (the default).
@@ -234,6 +277,24 @@ public:
   std::vector<uint32_t> Window; ///< The produced window (topological order).
 
   //===--------------------------------------------------------------------===//
+  // Scored-gate records (GreedyRouterBase and Qlosure)
+  //===--------------------------------------------------------------------===//
+
+  /// The gates a kernel scores depend only on the front, so a kernel
+  /// builds these records on the first SWAP after the front changed and
+  /// patches them per SWAP with swapScoredEndpoints. Per scored ordinal:
+  /// the current physical endpoints. TouchingGates lists, per physical
+  /// qubit, the ordinals hosted on it in ascending order; candidates only
+  /// recompute the gates listed under their two swapped qubits.
+  std::vector<unsigned> ScoredPA;
+  std::vector<unsigned> ScoredPB;
+  /// Scored gates indexed by hosting physical qubit. Persistent across
+  /// fronts; only the entries named in TouchedPhys are cleared (keeping
+  /// inner capacity), never the outer vector.
+  std::vector<std::vector<uint32_t>> TouchingGates;
+  std::vector<unsigned> TouchedPhys;
+
+  //===--------------------------------------------------------------------===//
   // Greedy step buffers (GreedyRouterBase and Qlosure)
   //===--------------------------------------------------------------------===//
 
@@ -246,21 +307,18 @@ public:
   std::vector<double> Scores;
   std::vector<size_t> BestIdx;
   std::vector<double> Decay; ///< Per-logical-qubit SABRE decay.
-  /// Delta-rescoring state of GreedyRouterBase: per scored gate (front
-  /// then extended, one combined index space) the current physical
-  /// endpoints and the pre-swap base distance. Candidates only recompute
-  /// the gates listed under their two swapped qubits in TouchingGates;
-  /// everything else rides on the cached base sums.
-  std::vector<unsigned> GreedyEndA;
-  std::vector<unsigned> GreedyEndB;
+  /// GreedyRouterBase's per scored gate (front then extended, one
+  /// combined ordinal space) base distance D(ScoredPA, ScoredPB) under
+  /// the current mapping.
   std::vector<unsigned> GreedyBaseDists;
 
   //===--------------------------------------------------------------------===//
   // SoA score lanes (one entry per candidate)
   //===--------------------------------------------------------------------===//
 
-  /// Per-candidate formula terms, filled by integer delta-accumulation
-  /// against the per-step base sums and consumed as flat vector lanes:
+  /// Per-candidate formula terms, filled by delta-accumulation against
+  /// the base sums of the current SWAP decision and consumed as flat
+  /// vector lanes:
   /// scoring is "evaluate the mapper's formula element-wise over these
   /// arrays" instead of "walk per-candidate distance vectors".
   std::vector<double> LaneFrontSum; ///< Post-swap front distance sums.
@@ -280,25 +338,21 @@ public:
   // Qlosure layer structure (core/Qlosure.cpp)
   //===--------------------------------------------------------------------===//
 
-  /// Dependence-distance level per gate; stale entries read 0 = "outside
-  /// the window", replacing the old per-step O(numGates) zero-fill.
+  /// Dependence-distance level per gate, written when the window is
+  /// built; stale entries read 0 = "outside the window".
   EpochArray<unsigned> GateLevel;
+  /// Scored window 2Q gates per dependence layer: fixed for a front.
   std::vector<uint32_t> LayerGateCount;
+  /// Per-layer sum of WinBase, recomputed once per SWAP decision.
   std::vector<double> LayerBaseSum;
-  /// Scored window 2Q gates of the current step, flat by scored ordinal
-  /// (the index TouchingGates stores): dependence layer, physical
-  /// endpoints, omega weight and the cached base term omega * D(PA, PB) —
-  /// so per-candidate deltas recompute only the post-swap distance.
+  /// Scored window 2Q gates of the current front, flat by scored ordinal
+  /// (the index TouchingGates stores; endpoints live in ScoredPA/PB):
+  /// dependence layer and omega weight, fixed for a front, and the base
+  /// term omega * D(PA, PB), patched per SWAP — so per-candidate deltas
+  /// recompute only the post-swap distance.
   std::vector<uint32_t> WinLevel;
-  std::vector<unsigned> WinPA;
-  std::vector<unsigned> WinPB;
   std::vector<double> WinOmega;
   std::vector<double> WinBase;
-  /// Window 2Q gates indexed by hosting physical qubit. Persistent across
-  /// steps; only the entries named in TouchedPhys are cleared (keeping
-  /// inner capacity), never the outer vector.
-  std::vector<std::vector<uint32_t>> TouchingGates;
-  std::vector<unsigned> TouchedPhys;
 
   //===--------------------------------------------------------------------===//
   // QMAP layered A* (baselines/QmapAstar.cpp)

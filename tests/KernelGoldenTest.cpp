@@ -17,6 +17,15 @@
 /// QMAP runs with an unlimited time budget so its output does not depend
 /// on machine load.
 ///
+/// A suffixed Qlosure mapper name selects a non-default configuration, so
+/// the rows also reach kernel paths the defaults never take: error-aware
+/// tie-breaking on a synthetic calibration (seeded by the row's seed),
+/// the front-only window, unit omega weights, the affine replay driver
+/// (on the QFT-like kernel, where the row's depth is the repetition
+/// count), and the shortest-path escape hatch (a tiny no-progress budget
+/// on a line). The greedy baselines reach their escape hatch on the same
+/// line with default options. A `line<N>` backend is makeLine(N).
+///
 /// On a mismatch the test prints the full actual row. When a change to
 /// routing decisions is intended, paste the printed rows over the stale
 /// ones.
@@ -25,11 +34,13 @@
 
 #include "baselines/QmapAstar.h"
 #include "baselines/RouterRegistry.h"
+#include "core/Qlosure.h"
 #include "route/RoutingScratch.h"
 #include "support/Fingerprint.h"
 #include "support/StringUtils.h"
 #include "topology/Backends.h"
 #include "workloads/Queko.h"
+#include "workloads/Structured.h"
 
 #include <gtest/gtest.h>
 
@@ -82,11 +93,41 @@ std::vector<GoldenRow> loadRows(const std::string &Mapper) {
 }
 
 std::unique_ptr<Router> makeMapper(const std::string &Name) {
-  if (Name != "qmap")
+  if (Name == "qmap") {
+    QmapOptions Qmap;
+    Qmap.TimeBudgetSeconds = 1e9;
+    return std::make_unique<QmapAstarRouter>(Qmap);
+  }
+  if (Name.rfind("qlosure-", 0) != 0)
     return makeRouterByName(Name);
-  QmapOptions Qmap;
-  Qmap.TimeBudgetSeconds = 1e9;
-  return std::make_unique<QmapAstarRouter>(Qmap);
+  QlosureOptions Options;
+  if (Name == "qlosure-error-aware") {
+    Options.ErrorAware = true;
+  } else if (Name == "qlosure-no-layers") {
+    Options.UseLayerStructure = false;
+  } else if (Name == "qlosure-no-weights") {
+    Options.UseDependencyWeights = false;
+  } else if (Name == "qlosure-affine") {
+    // The replay profile: omega is aperiodic, so weighted routing would
+    // fall back on nearly every period.
+    Options.AffineReplay = true;
+    Options.UseDependencyWeights = false;
+  } else if (Name == "qlosure-forced") {
+    Options.MaxSwapsWithoutProgress = 2;
+  } else {
+    ADD_FAILURE() << "unknown golden mapper: " << Name;
+  }
+  return std::make_unique<QlosureRouter>(Options);
+}
+
+CouplingGraph makeRowBackend(const GoldenRow &Key) {
+  CouplingGraph Backend =
+      Key.Backend.rfind("line", 0) == 0
+          ? makeLine(static_cast<unsigned>(std::stoul(Key.Backend.substr(4))))
+          : makeBackendByName(Key.Backend);
+  if (Key.Mapper == "qlosure-error-aware")
+    applySyntheticErrorModel(Backend, Key.Seed);
+  return Backend;
 }
 
 uint64_t routingDigest(const RoutingResult &R) {
@@ -102,14 +143,22 @@ uint64_t routingDigest(const RoutingResult &R) {
 
 /// Routes the instance \p Key names and fills in its measured columns.
 GoldenRow routeRow(const GoldenRow &Key) {
-  QuekoSpec Spec;
-  Spec.Depth = Key.Depth;
-  Spec.Seed = Key.Seed;
-  QuekoInstance Inst = generateQueko(makeSycamore54(), Spec);
-  CouplingGraph Backend = makeBackendByName(Key.Backend);
-  RoutingContext Ctx = RoutingContext::build(Inst.Circ, Backend);
+  CouplingGraph Backend = makeRowBackend(Key);
+  Circuit Circ;
+  if (Key.Mapper == "qlosure-affine") {
+    Circ = qftLikeKernel(Backend.numQubits(), Key.Depth);
+  } else {
+    QuekoSpec Spec;
+    Spec.Depth = Key.Depth;
+    Spec.Seed = Key.Seed;
+    Circ = generateQueko(makeSycamore54(), Spec).Circ;
+  }
+  RoutingContext Ctx = RoutingContext::build(Circ, Backend);
   RoutingScratch Scratch;
   RoutingResult R = makeMapper(Key.Mapper)->routeWithIdentity(Ctx, Scratch);
+  if (Key.Mapper == "qlosure-affine") {
+    EXPECT_GT(R.AffineReplayedPeriods, 0u) << "no period replayed";
+  }
 
   GoldenRow Got = Key;
   Got.Swaps = R.NumSwaps;
@@ -118,11 +167,9 @@ GoldenRow routeRow(const GoldenRow &Key) {
   return Got;
 }
 
-void checkMapper(const std::string &Mapper) {
+void checkMapper(const std::string &Mapper, size_t NumRows) {
   std::vector<GoldenRow> Rows = loadRows(Mapper);
-  ASSERT_EQ(Rows.size(), 4u) << "expected 3 sherbrooke rows and 1 ankaa3 "
-                                "row for "
-                             << Mapper;
+  ASSERT_EQ(Rows.size(), NumRows) << "golden rows for " << Mapper;
   for (const GoldenRow &Want : Rows) {
     GoldenRow Got = routeRow(Want);
     EXPECT_EQ(formatRow(Got), formatRow(Want))
@@ -133,8 +180,19 @@ void checkMapper(const std::string &Mapper) {
 
 } // namespace
 
-TEST(KernelGoldenTest, Qlosure) { checkMapper("qlosure"); }
-TEST(KernelGoldenTest, Sabre) { checkMapper("sabre"); }
-TEST(KernelGoldenTest, Qmap) { checkMapper("qmap"); }
-TEST(KernelGoldenTest, Cirq) { checkMapper("cirq"); }
-TEST(KernelGoldenTest, Tket) { checkMapper("tket"); }
+TEST(KernelGoldenTest, Qlosure) { checkMapper("qlosure", 4); }
+TEST(KernelGoldenTest, Sabre) { checkMapper("sabre", 5); }
+TEST(KernelGoldenTest, Qmap) { checkMapper("qmap", 4); }
+TEST(KernelGoldenTest, Cirq) { checkMapper("cirq", 5); }
+TEST(KernelGoldenTest, Tket) { checkMapper("tket", 5); }
+TEST(KernelGoldenTest, QlosureErrorAware) {
+  checkMapper("qlosure-error-aware", 2);
+}
+TEST(KernelGoldenTest, QlosureNoLayers) {
+  checkMapper("qlosure-no-layers", 1);
+}
+TEST(KernelGoldenTest, QlosureNoWeights) {
+  checkMapper("qlosure-no-weights", 1);
+}
+TEST(KernelGoldenTest, QlosureAffine) { checkMapper("qlosure-affine", 1); }
+TEST(KernelGoldenTest, QlosureForced) { checkMapper("qlosure-forced", 1); }

@@ -161,6 +161,11 @@ inline std::vector<Case> hostileCases() {
   for (int I = 0; I < 64; ++I)
     Broadcasts += "h q;\n";
   Broadcasts += "h q[0];\n";
+  // One statement over the budget on its own: 128 gates x 2^16 qubits.
+  std::string BroadcastCall = "gate g a {";
+  for (int I = 0; I < 128; ++I)
+    BroadcastCall += " h a;";
+  BroadcastCall += " }\nqreg q[65536];\ng q;\n";
   std::string PlusChain = "2";
   for (int I = 0; I < 200000; ++I)
     PlusChain += "+2";
@@ -169,6 +174,7 @@ inline std::vector<Case> hostileCases() {
       {"registers_sum_over_budget", "qreg a[40000]; qreg b[40000]; h a[0];"},
       {"doubling40", doublingText(40)},
       {"broadcasts_over_budget", Broadcasts},
+      {"broadcast_call_over_budget", BroadcastCall},
       {"deep_parens", "qreg q[1];\nrz(" + std::string(20000, '(') + "1" +
                           std::string(20000, ')') + ") q[0];\n"},
       {"deep_unary_minus",

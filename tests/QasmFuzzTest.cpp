@@ -33,8 +33,11 @@ constexpr uint64_t FuzzSeed = 0x51A5C0DE2026ULL;
 constexpr int FuzzIterations = 20000;
 /// Seeds above this size are skipped to keep an iteration cheap.
 constexpr size_t MaxSeedBytes = 4096;
-/// Rejected only after emitting the whole gate budget (~160 MB); its
-/// mutants would make the run minutes long.
+/// Each of its statements fits the gate budget on its own; only their
+/// sum is over it, so a one-pass importer must emit the whole budget
+/// (~160 MB) before it can reject the program, and its mutants would make
+/// the run minutes long. broadcast_call_over_budget, one statement over
+/// the budget, is rejected before its first gate and stays in.
 const char *const SlowSeed = "broadcasts_over_budget";
 
 /// splitmix64.

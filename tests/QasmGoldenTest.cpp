@@ -74,6 +74,7 @@ const std::map<std::string, bool> &hostileRows() {
       {"registers_sum_over_budget", true},
       {"doubling40", true},
       {"broadcasts_over_budget", true},
+      {"broadcast_call_over_budget", true},
       {"deep_parens", false},
       {"deep_unary_minus", false},
       {"long_plus_chain", false},

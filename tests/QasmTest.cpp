@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -381,6 +383,37 @@ TEST(ImporterTest, BroadcastGatesCountAgainstTheBudget) {
   auto R = importQasm(Text);
   ASSERT_FALSE(R.succeeded());
   EXPECT_TRUE(R.OverBudget) << R.Error;
+}
+
+TEST(ImporterTest, OversizedBroadcastIsRejectedBeforeEmitting) {
+  // A 128-gate user gate broadcast over the largest register expands to
+  // 2^23 gates, twice the budget. The statement is rejected whole, before
+  // its first gate: emitting the 2^22 that fit first would take ~160 MB
+  // of gate IR and raise this process's peak RSS by at least that much.
+  std::string Text = "gate g a {";
+  for (int I = 0; I < 128; ++I)
+    Text += " h a;";
+  Text += " }\nqreg q[65536];\ng q;\n";
+  rusage Before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &Before), 0);
+  const auto Start = std::chrono::steady_clock::now();
+  auto R = importQasm(Text);
+  const double Seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - Start)
+                             .count();
+  rusage After{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &After), 0);
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_TRUE(R.OverBudget) << R.Error;
+  EXPECT_LT(Seconds, 1.0);
+  EXPECT_LT(After.ru_maxrss - Before.ru_maxrss, 32 * 1024) // KiB.
+      << "the importer emitted gates before rejecting the statement";
+
+  // The same gate broadcast over a 1024-qubit register fits and imports.
+  Text.replace(Text.find("65536"), 5, "1024");
+  auto Fits = importQasm(Text);
+  ASSERT_TRUE(Fits.succeeded()) << Fits.Error;
+  EXPECT_EQ(Fits.Circ->size(), size_t(128) * 1024);
 }
 
 //===----------------------------------------------------------------------===//
